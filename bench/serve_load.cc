@@ -408,9 +408,6 @@ int Run(const LoadOptions& options) {
   service_options.num_replicas = 2;
   service_options.posterior_cache_capacity = 4096;
   service_options.cache_shards = 8;
-  // The load is single-candidate diffusion — always inline — so keep the
-  // batch thread off; one fewer thread on the bench core.
-  service_options.batching_enabled = false;
   serve::ModelService service(service_options);
   if (auto st = service.LoadFromFile(arena_path); !st.ok()) {
     std::fprintf(stderr, "arena load failed: %s\n", st.ToString().c_str());

@@ -77,7 +77,7 @@ class ColdPredictor {
                               std::span<const text::WordId> words) const;
 
   /// \brief Eq. (7) given a topic posterior already computed by
-  /// TopicPosterior(words, i) — the serving layer's micro-batching uses
+  /// TopicPosterior(words, i) — the serving layer's diffusion fan-out uses
   /// this so one posterior (the expensive O(K |w_d|) half) is shared
   /// across every candidate scored against the same post. Sentinel: NaN
   /// on out-of-range users or a posterior of the wrong length.

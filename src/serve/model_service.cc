@@ -20,9 +20,9 @@ namespace cold::serve {
 
 namespace {
 
-/// Batch size of the request currently handled on this thread, for the
-/// slow-request log (set by HandleDiffusion, consumed by Handle; 0 for
-/// endpoints with no batching notion).
+/// Diffusion candidates scored by the request currently handled on this
+/// thread, logged as its batch size by the slow-request log (set by
+/// HandleDiffusion, consumed by Handle; 0 for every other endpoint).
 thread_local int tls_request_batch_size = 0;
 
 /// Per-endpoint request counter + latency histogram + error counter, all
@@ -56,12 +56,9 @@ const EndpointMetrics& MetricsFor(const char* endpoint) {
 struct ServiceCounters {
   obs::Counter* hits;
   obs::Counter* misses;
-  obs::Counter* batches;
-  obs::Counter* batched_requests;
-  obs::Histogram* batch_size;
   obs::Counter* reloads;
   obs::Counter* reload_failures;
-  /// Duration of the atomic RouterState store — the serving stall a
+  /// Duration of the RouterState pointer swap — the serving stall a
   /// hot-reload actually imposes (snapshot load/validate runs beforehand,
   /// off to the side).
   obs::Histogram* reload_swap;
@@ -72,11 +69,6 @@ ServiceCounters& ServiceMetrics() {
   static ServiceCounters metrics{
       registry.GetCounter("cold/serve/posterior_cache_hits"),
       registry.GetCounter("cold/serve/posterior_cache_misses"),
-      registry.GetCounter("cold/serve/batches"),
-      registry.GetCounter("cold/serve/batched_requests"),
-      registry.GetHistogram("cold/serve/batch_size",
-                            {},
-                            obs::HistogramOptions{1.0, 2.0, 12}),
       registry.GetCounter("cold/serve/reloads"),
       registry.GetCounter("cold/serve/reload_failures"),
       registry.GetHistogram("cold/serve/reload_swap_seconds")};
@@ -145,20 +137,6 @@ ModelService::ModelService(ModelServiceOptions options)
     }
     shard_metrics_.push_back(std::move(per_shard));
   }
-  if (options_.batching_enabled) {
-    batch_thread_ = std::thread([this] { BatchLoop(); });
-  }
-}
-
-ModelService::~ModelService() {
-  if (batch_thread_.joinable()) {
-    {
-      std::lock_guard<std::mutex> lock(queue_mutex_);
-      stopping_ = true;
-    }
-    queue_cv_.notify_all();
-    batch_thread_.join();
-  }
 }
 
 cold::Status ModelService::LoadFromFile(const std::string& path) {
@@ -222,8 +200,13 @@ void ModelService::InstallReplicas(
   next->format = std::move(format);
   next->replicas = std::move(replicas);
 
+  // The previous generation is released after the lock, not under it.
+  std::shared_ptr<const RouterState> previous;
   auto swap_start = std::chrono::steady_clock::now();
-  router_.store(std::move(next), std::memory_order_release);
+  {
+    std::lock_guard<std::mutex> router_lock(router_mutex_);
+    previous = std::exchange(router_, std::move(next));
+  }
   ServiceMetrics().reload_swap->Observe(
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     swap_start)
@@ -358,81 +341,6 @@ std::shared_ptr<const std::vector<double>> ModelService::PosteriorFor(
   return posterior;
 }
 
-std::future<double> ModelService::EnqueueDiffusion(
-    std::shared_ptr<const core::ColdPredictor> model, int64_t generation,
-    int replica, text::UserId publisher, text::UserId candidate,
-    std::vector<text::WordId> words) {
-  PendingDiffusion pending;
-  pending.model = std::move(model);
-  pending.generation = generation;
-  pending.replica = replica;
-  pending.publisher = publisher;
-  pending.candidate = candidate;
-  pending.words = std::move(words);
-  std::future<double> future = pending.promise.get_future();
-  {
-    std::lock_guard<std::mutex> lock(queue_mutex_);
-    queue_.push_back(std::move(pending));
-  }
-  queue_cv_.notify_one();
-  return future;
-}
-
-void ModelService::BatchLoop() {
-  std::vector<PendingDiffusion> batch;
-  while (true) {
-    {
-      std::unique_lock<std::mutex> lock(queue_mutex_);
-      queue_cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // stopping_ and fully drained.
-      // Once work arrives, wait briefly for the batch to fill.
-      auto deadline = std::chrono::steady_clock::now() +
-                      std::chrono::microseconds(options_.batch_wait_us);
-      while (queue_.size() < options_.max_batch && !stopping_) {
-        if (queue_cv_.wait_until(lock, deadline) ==
-            std::cv_status::timeout) {
-          break;
-        }
-      }
-      size_t take = std::min(queue_.size(), options_.max_batch);
-      batch.clear();
-      batch.reserve(take);
-      for (size_t i = 0; i < take; ++i) {
-        batch.push_back(std::move(queue_.front()));
-        queue_.pop_front();
-      }
-    }
-    ExecuteBatch(&batch);
-  }
-}
-
-void ModelService::ExecuteBatch(std::vector<PendingDiffusion>* batch) {
-  COLD_TRACE_SPAN("serve/batch");
-  ServiceMetrics().batches->Increment();
-  ServiceMetrics().batched_requests->Increment(
-      static_cast<int64_t>(batch->size()));
-  ServiceMetrics().batch_size->Observe(static_cast<double>(batch->size()));
-  // Posteriors computed once per (author, words) within this drain; the
-  // local map also covers the cache-disabled configuration.
-  std::unordered_map<std::string, std::shared_ptr<const std::vector<double>>>
-      drain_posteriors;
-  for (PendingDiffusion& item : *batch) {
-    const std::string key =
-        PosteriorKey(item.generation, item.publisher, item.words);
-    auto it = drain_posteriors.find(key);
-    if (it == drain_posteriors.end()) {
-      it = drain_posteriors
-               .emplace(key,
-                        PosteriorFor(*item.model, item.replica,
-                                     item.generation, item.publisher,
-                                     item.words))
-               .first;
-    }
-    item.promise.set_value(item.model->DiffusionFromPosterior(
-        item.publisher, item.candidate, *it->second));
-  }
-}
-
 HttpResponse ModelService::HandleDiffusion(const HttpRequest& request) {
   auto current = state();
   if (current == nullptr || current->replicas.empty()) {
@@ -480,33 +388,17 @@ HttpResponse ModelService::HandleDiffusion(const HttpRequest& request) {
   }
   tls_request_batch_size = static_cast<int>(candidates.size());
 
+  // Inline on this thread for one candidate or many: one cache-assisted
+  // Eq. (5) posterior for the post, then one Eq. (7) dot product per
+  // candidate over it.
   phase.emplace("serve/predict");
+  auto posterior = PosteriorFor(*model, replica, gen, author, words);
   std::vector<double> probabilities;
   probabilities.reserve(candidates.size());
-  // Single-candidate requests — the serving hot path — always compute
-  // inline: one cache lookup plus one dot product beats a queue hop, and
-  // the epoll core runs this handler on a reactor thread that must not
-  // park on a future. Fan-outs still amortize Eq. (5) through the batch
-  // thread when batching is on.
-  if (options_.batching_enabled && candidates.size() > 1) {
-    std::vector<std::future<double>> futures;
-    futures.reserve(candidates.size());
-    for (text::UserId candidate : candidates) {
-      futures.push_back(
-          EnqueueDiffusion(model, gen, replica, author, candidate, words));
-    }
-    for (auto& f : futures) probabilities.push_back(f.get());
-  } else {
-    auto posterior = PosteriorFor(*model, replica, gen, author, words);
-    for (text::UserId candidate : candidates) {
-      probabilities.push_back(
-          model->DiffusionFromPosterior(author, candidate, *posterior));
-    }
-  }
-  for (double p : probabilities) {
-    if (std::isnan(p)) {
-      return HttpResponse::Error(500, "prediction failed");
-    }
+  for (text::UserId candidate : candidates) {
+    double p = model->DiffusionFromPosterior(author, candidate, *posterior);
+    if (std::isnan(p)) return HttpResponse::Error(500, "prediction failed");
+    probabilities.push_back(p);
   }
 
   phase.emplace("serve/serialize");

@@ -12,7 +12,7 @@
 //   POST /admin/reload                atomic snapshot hot-reload
 //
 // Replica routing: the service holds R ColdPredictor replicas behind one
-// atomically swapped RouterState. A query is routed by the home community
+// swappable RouterState. A query is routed by the home community
 // of its author (TopComm(author)[0] mod R), so each replica's posterior
 // cache concentrates on a disjoint slice of the community space instead
 // of all replicas thrashing one global LRU. Each replica's cache is
@@ -22,28 +22,25 @@
 // Hot reload is an O(1) generation pointer swap: the new RouterState is
 // fully constructed off to the side (for COLDARN1 arena snapshots the
 // replicas are zero-copy views into one shared mmap), then installed with
-// a single atomic store — cold/serve/reload_swap_seconds measures exactly
-// that store, which is why the p99 reload stall is microseconds. Requests
-// pin the RouterState they loaded, so a reload never invalidates an
-// in-flight computation and old snapshots free themselves when their last
-// request completes.
+// one pointer swap under router_mutex_, which requests hold only to copy
+// the pointer — cold/serve/reload_swap_seconds measures exactly that swap,
+// which is why the p99 reload stall is microseconds. Requests pin the
+// RouterState they copied, so a reload never invalidates an in-flight
+// computation and old snapshots free themselves when their last request
+// completes.
 //
-// Single-candidate /v1/diffusion — the serving hot path — computes inline
-// on the calling (reactor) thread: one cache-assisted Eq. (5) posterior
-// plus one DiffusionFromPosterior, no queue hop. Multi-candidate fan-outs
-// still micro-batch through the drain thread so the O(K |w_d|) posterior
-// is computed once per post and shared across candidates.
+// Every /v1/diffusion request, single candidate or fan-out, computes inline
+// on the thread that called Handle (a reactor thread under the epoll
+// core): one cache-assisted Eq. (5) posterior per post, then one
+// DiffusionFromPosterior per candidate, so the O(K |w_d|) posterior is
+// computed once per request and shared across its candidates.
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/predictor.h"
@@ -71,26 +68,16 @@ struct ModelServiceOptions {
   size_t posterior_cache_capacity = 4096;
   /// Mutex shards within each replica's posterior cache.
   size_t cache_shards = 8;
-  /// Micro-batching of multi-candidate /v1/diffusion fan-outs. Disabled,
-  /// requests compute inline. Single-candidate requests always compute
-  /// inline.
-  bool batching_enabled = true;
-  /// Max requests drained into one batch.
-  size_t max_batch = 64;
-  /// How long a drain waits for the batch to fill once non-empty.
-  int batch_wait_us = 200;
   /// Monte-Carlo IC trials for /v1/influential_communities (§6.6).
   int influence_trials = 64;
-  /// Requests slower than this are logged with method/path/latency/batch
-  /// size (the slow-request log); 0 disables it.
+  /// Requests slower than this are logged with method/path/latency and
+  /// diffusion candidate count (the slow-request log); 0 disables it.
   int slow_request_ms = 0;
 };
 
 class ModelService {
  public:
   explicit ModelService(ModelServiceOptions options);
-  /// Drains the batching queue (pending requests are still answered).
-  ~ModelService();
 
   ModelService(const ModelService&) = delete;
   ModelService& operator=(const ModelService&) = delete;
@@ -136,16 +123,6 @@ class ModelService {
     std::vector<std::shared_ptr<const core::ColdPredictor>> replicas;
   };
 
-  struct PendingDiffusion {
-    std::shared_ptr<const core::ColdPredictor> model;
-    int64_t generation = 0;
-    int replica = 0;
-    text::UserId publisher = 0;
-    text::UserId candidate = 0;
-    std::vector<text::WordId> words;
-    std::promise<double> promise;
-  };
-
   /// Per-(replica, shard) cache counters exported as
   /// cold/serve/cache_{hits,misses,evictions}{replica=..,shard=..}.
   struct ShardMetrics {
@@ -166,11 +143,12 @@ class ModelService {
   HttpResponse HandleReload(const HttpRequest& request);
 
   std::shared_ptr<const RouterState> state() const {
-    return router_.load(std::memory_order_acquire);
+    std::lock_guard<std::mutex> lock(router_mutex_);
+    return router_;
   }
 
   /// Builds the next generation around `replicas` and installs it with
-  /// one atomic store (timed by cold/serve/reload_swap_seconds).
+  /// one pointer swap (timed by cold/serve/reload_swap_seconds).
   void InstallReplicas(
       std::vector<std::shared_ptr<const core::ColdPredictor>> replicas,
       std::string format);
@@ -183,33 +161,23 @@ class ModelService {
       const core::ColdPredictor& model, int replica, int64_t generation,
       text::UserId author, const std::vector<text::WordId>& words);
 
-  /// Enqueues one diffusion scoring; the future resolves after a drain.
-  std::future<double> EnqueueDiffusion(
-      std::shared_ptr<const core::ColdPredictor> model, int64_t generation,
-      int replica, text::UserId publisher, text::UserId candidate,
-      std::vector<text::WordId> words);
-
-  void BatchLoop();
-  void ExecuteBatch(std::vector<PendingDiffusion>* batch);
-
   const ModelServiceOptions options_;
   const int num_replicas_;
 
-  std::atomic<std::shared_ptr<const RouterState>> router_;
+  /// Held only to copy or swap router_. Not std::atomic<std::shared_ptr>:
+  /// libstdc++ 12's load() releases that type's internal lock with a
+  /// relaxed store, which orders the reader's pointer read before nothing,
+  /// and ThreadSanitizer reports the next reload's write as a race.
+  mutable std::mutex router_mutex_;
+  std::shared_ptr<const RouterState> router_;
   std::atomic<int64_t> generation_{0};
-  /// Serializes reloads (the swap itself is a single atomic store).
+  /// Serializes reloads (the swap itself is one pointer swap).
   std::mutex reload_mutex_;
 
   /// One sharded posterior cache per replica, stable across reloads
   /// (entries are generation-keyed, so stale hits are impossible).
   std::vector<std::unique_ptr<ShardedLruCache<std::vector<double>>>> caches_;
   std::vector<std::vector<ShardMetrics>> shard_metrics_;
-
-  std::mutex queue_mutex_;
-  std::condition_variable queue_cv_;
-  std::deque<PendingDiffusion> queue_;
-  bool stopping_ = false;
-  std::thread batch_thread_;
 };
 
 }  // namespace cold::serve

@@ -174,6 +174,35 @@ core::ColdEstimates RandomEstimates(uint64_t seed, int U = 12, int C = 3,
   return est;
 }
 
+/// The answers a /v1/diffusion response body carries: its "probability"
+/// for one candidate or its "probabilities" for a fan-out; empty when the
+/// body holds neither.
+std::vector<double> DiffusionAnswers(const std::string& response_body) {
+  std::vector<double> answers;
+  auto body = Json::Parse(response_body);
+  if (!body.ok()) return answers;
+  const Json* one = body->Find("probability");
+  const Json* many = body->Find("probabilities");
+  if (one != nullptr && one->is_number()) {
+    answers.push_back(one->as_number());
+  } else if (many != nullptr && many->is_array()) {
+    for (const Json& v : many->as_array()) {
+      if (v.is_number()) answers.push_back(v.as_number());
+    }
+  }
+  return answers;
+}
+
+/// True when `got` and `want` have one length and agree to 1e-9 throughout.
+bool SameAnswers(const std::vector<double>& got,
+                 const std::vector<double>& want) {
+  if (got.size() != want.size()) return false;
+  for (size_t i = 0; i < want.size(); ++i) {
+    if (std::fabs(got[i] - want[i]) > 1e-9) return false;
+  }
+  return true;
+}
+
 // Every endpoint/concurrency/reload/shutdown test runs against both
 // serving cores: the epoll event loop and the legacy blocking pool. The
 // two must be observably identical at the HTTP surface.
@@ -450,10 +479,10 @@ TEST_P(ServeTest, SlowRequestLogRecordsMethodPathLatencyAndBatchSize) {
     if (level == LogLevel::kWarning) warnings.push_back(line);
   });
 
-  // A max-trials influence scan burns well past 1ms of CPU, and a batched
-  // diffusion fan-out records its batch size; at least one of the two must
-  // cross the threshold and the logged line must carry method, path,
-  // latency and batch size.
+  // A max-trials influence scan burns well past 1ms of CPU, and a
+  // diffusion fan-out records its candidate count as the batch size; at
+  // least one of the two must cross the threshold and the logged line must
+  // carry method, path, latency and batch size.
   auto slow =
       client_.Get("/v1/influential_communities?topic=1&n=3&trials=100000");
   ASSERT_TRUE(slow.ok());
@@ -523,31 +552,39 @@ TEST_P(ServeTest, ConcurrentRequestsAllSucceedAndAgree) {
   StartServer();
   core::ColdPredictor direct(estimates_, 3);
   std::vector<text::WordId> words = {1, 2, 3};
-  const double expected = direct.DiffusionProbability(1, 2, words);
+  // Odd clients fan out to three candidates, so inline fan-outs run
+  // concurrently with single-candidate requests over one replica's cache
+  // shards.
+  const std::string single =
+      R"({"publisher": 1, "candidate": 2, "words": [1, 2, 3]})";
+  const std::string fan_out =
+      R"({"publisher": 1, "candidates": [2, 5, 9], "words": [1, 2, 3]})";
+  const std::vector<double> expect_single = {
+      direct.DiffusionProbability(1, 2, words)};
+  const std::vector<double> expect_fan_out = {
+      direct.DiffusionProbability(1, 2, words),
+      direct.DiffusionProbability(1, 5, words),
+      direct.DiffusionProbability(1, 9, words)};
 
   constexpr int kThreads = 8;
   constexpr int kPerThread = 50;
   std::atomic<int> failures{0};
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([this, expected, &failures] {
+    const bool fans_out = t % 2 == 1;
+    const std::string& body = fans_out ? fan_out : single;
+    const std::vector<double>& expected =
+        fans_out ? expect_fan_out : expect_single;
+    threads.emplace_back([this, &body, &expected, &failures] {
       HttpClient client;
       if (!client.Connect(server_->port()).ok()) {
         failures.fetch_add(kPerThread);
         return;
       }
       for (int n = 0; n < kPerThread; ++n) {
-        auto response = client.Post(
-            "/v1/diffusion",
-            R"({"publisher": 1, "candidate": 2, "words": [1, 2, 3]})");
-        if (!response.ok() || response->status_code != 200) {
-          failures.fetch_add(1);
-          continue;
-        }
-        auto body = Json::Parse(response->body);
-        if (!body.ok() ||
-            std::fabs(body->Find("probability")->as_number() - expected) >
-                1e-9) {
+        auto response = client.Post("/v1/diffusion", body);
+        if (!response.ok() || response->status_code != 200 ||
+            !SameAnswers(DiffusionAnswers(response->body), expected)) {
           failures.fetch_add(1);
         }
       }
@@ -559,49 +596,74 @@ TEST_P(ServeTest, ConcurrentRequestsAllSucceedAndAgree) {
 
 TEST_P(ServeTest, HotReloadUnderLoadServesOneOfTwoModels) {
   StartServer();
-  // Two distinct snapshots on disk.
+  // Two distinct snapshots on disk, named per process: ctest -j runs the
+  // Epoll and Blocking instances at once, and each rewrites and deletes
+  // its files.
   core::ColdEstimates model_a = RandomEstimates(7);   // == estimates_
   core::ColdEstimates model_b = RandomEstimates(99);
+  const std::string pid = std::to_string(::getpid());
   std::string path_a =
-      (fs::temp_directory_path() / "cold_serve_model_a.bin").string();
+      (fs::temp_directory_path() / ("cold_serve_model_a_" + pid + ".bin"))
+          .string();
   std::string path_b =
-      (fs::temp_directory_path() / "cold_serve_model_b.bin").string();
+      (fs::temp_directory_path() / ("cold_serve_model_b_" + pid + ".bin"))
+          .string();
   ASSERT_TRUE(core::SaveEstimates(model_a, path_a).ok());
   ASSERT_TRUE(core::SaveEstimates(model_b, path_b).ok());
   core::ColdPredictor direct_a(model_a, 5);
   core::ColdPredictor direct_b(model_b, 5);
   std::vector<text::WordId> words = {1, 2, 3};
-  const double expect_a = direct_a.DiffusionProbability(1, 2, words);
-  const double expect_b = direct_b.DiffusionProbability(1, 2, words);
+  auto answers = [&words](const core::ColdPredictor& direct,
+                          const std::vector<text::UserId>& candidates) {
+    std::vector<double> out;
+    for (text::UserId c : candidates) {
+      out.push_back(direct.DiffusionProbability(1, c, words));
+    }
+    return out;
+  };
+  const std::vector<text::UserId> fan_out = {2, 6, 10};
+
+  // Four single-candidate clients and one fan-out client. Every answer
+  // must be exactly one of the two snapshots' answers — never a torn
+  // mixture, and a fan-out's whole vector comes from one snapshot.
+  struct Client {
+    std::string body;
+    std::vector<double> expect_a;
+    std::vector<double> expect_b;
+  };
+  std::vector<Client> clients(
+      4, Client{R"({"publisher": 1, "candidate": 2, "words": [1, 2, 3]})",
+                answers(direct_a, {2}), answers(direct_b, {2})});
+  clients.push_back(Client{
+      R"({"publisher": 1, "candidates": [2, 6, 10], "words": [1, 2, 3]})",
+      answers(direct_a, fan_out), answers(direct_b, fan_out)});
+  ASSERT_FALSE(SameAnswers(clients.back().expect_a, clients.back().expect_b));
 
   std::atomic<bool> stop{false};
   std::atomic<int> failures{0};
   std::atomic<int> served{0};
+  std::atomic<int> served_fan_outs{0};
   std::vector<std::thread> load;
-  for (int t = 0; t < 4; ++t) {
-    load.emplace_back([this, expect_a, expect_b, &stop, &failures, &served] {
+  for (const Client& c : clients) {
+    load.emplace_back([this, &c, &stop, &failures, &served, &served_fan_outs] {
       HttpClient client;
       if (!client.Connect(server_->port()).ok()) {
         failures.fetch_add(1);
         return;
       }
       while (!stop.load()) {
-        auto response = client.Post(
-            "/v1/diffusion",
-            R"({"publisher": 1, "candidate": 2, "words": [1, 2, 3]})");
+        auto response = client.Post("/v1/diffusion", c.body);
         if (!response.ok() || response->status_code != 200) {
           failures.fetch_add(1);
           return;
         }
-        double p = Json::Parse(response->body)->Find("probability")
-                       ->as_number();
-        // Every answer must be exactly one of the two snapshots' answers —
-        // never a torn mixture.
-        if (std::fabs(p - expect_a) > 1e-9 && std::fabs(p - expect_b) > 1e-9) {
+        std::vector<double> got = DiffusionAnswers(response->body);
+        if (!SameAnswers(got, c.expect_a) && !SameAnswers(got, c.expect_b)) {
           failures.fetch_add(1);
           return;
         }
         served.fetch_add(1);
+        if (got.size() > 1) served_fan_outs.fetch_add(1);
       }
     });
   }
@@ -622,6 +684,7 @@ TEST_P(ServeTest, HotReloadUnderLoadServesOneOfTwoModels) {
   for (auto& thread : load) thread.join();
   EXPECT_EQ(failures.load(), 0);
   EXPECT_GT(served.load(), 0);
+  EXPECT_GT(served_fan_outs.load(), 0);
 
   // Reload of a corrupt snapshot fails and keeps serving.
   {
@@ -636,19 +699,6 @@ TEST_P(ServeTest, HotReloadUnderLoadServesOneOfTwoModels) {
   EXPECT_EQ(health->status_code, 200);
   fs::remove(path_a);
   fs::remove(path_b);
-}
-
-TEST_P(ServeTest, BatchingDisabledStillCorrect) {
-  ModelServiceOptions options;
-  options.batching_enabled = false;
-  StartServer(options);
-  core::ColdPredictor direct(estimates_, 3);
-  std::vector<text::WordId> words = {6};
-  Json body = PostJson(
-      "/v1/diffusion",
-      R"({"publisher": 0, "candidate": 7, "words": [6]})");
-  EXPECT_NEAR(body.Find("probability")->as_number(),
-              direct.DiffusionProbability(0, 7, words), 1e-9);
 }
 
 class LoadSheddingTest : public ::testing::TestWithParam<ServerMode> {};
@@ -730,6 +780,58 @@ TEST_P(ServeTest, GracefulShutdownDrainsInFlight) {
   EXPECT_EQ(server_->active_connections(), 0);
 }
 
+
+// ---------------------------------------------------------------------------
+// ModelService::Handle without a socket
+
+TEST(ModelServiceTest, FanOutComputesOnePosteriorAndMatchesEq7Exactly) {
+  const core::ColdEstimates estimates = RandomEstimates(31);
+  const std::vector<text::WordId> words = {3, 8, 8, 15};
+  const std::vector<text::UserId> candidates = {0, 2, 5, 7, 11};
+  auto* misses =
+      obs::Registry::Global().GetCounter("cold/serve/posterior_cache_misses");
+  // Cache off, then the default cache: either way a fan-out computes its
+  // post's Eq. (5) posterior once and scores every candidate against it.
+  const size_t default_capacity =
+      ModelServiceOptions{}.posterior_cache_capacity;
+  for (size_t capacity : {size_t{0}, default_capacity}) {
+    SCOPED_TRACE("posterior_cache_capacity = " + std::to_string(capacity));
+    ModelServiceOptions options;
+    options.posterior_cache_capacity = capacity;
+    ModelService service(options);
+    service.SetPredictor(
+        std::make_shared<const core::ColdPredictor>(estimates, 3));
+    const auto model = service.predictor();
+    ASSERT_NE(model, nullptr);
+
+    HttpRequest request;
+    request.method = "POST";
+    request.path = "/v1/diffusion";
+    request.body = R"({"publisher": 4, "candidates": [0, 2, 5, 7, 11], )"
+                   R"("words": [3, 8, 8, 15]})";
+    const std::vector<double> posterior = model->TopicPosterior(words, 4);
+    // The writer prints %.17g, so every double round-trips exactly.
+    std::vector<double> expected;
+    for (text::UserId c : candidates) {
+      expected.push_back(model->DiffusionFromPosterior(4, c, posterior));
+    }
+
+    for (int repeat = 0; repeat < 2; ++repeat) {
+      const int64_t misses_before = misses->Value();
+      HttpResponse response = service.Handle(request);
+      ASSERT_EQ(response.status_code, 200) << response.body;
+      // The first request is a cold key; a repeat hits the cache when it
+      // is on and recomputes the one posterior when it is off.
+      const int64_t expected_misses = repeat == 0 || capacity == 0 ? 1 : 0;
+      EXPECT_EQ(misses->Value() - misses_before, expected_misses);
+      const std::vector<double> got = DiffusionAnswers(response.body);
+      ASSERT_EQ(got.size(), expected.size()) << response.body;
+      for (size_t i = 0; i < expected.size(); ++i) {
+        EXPECT_EQ(got[i], expected[i]) << "candidate " << candidates[i];
+      }
+    }
+  }
+}
 
 // ---------------------------------------------------------------------------
 // ShardedLruCache

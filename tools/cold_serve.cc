@@ -5,22 +5,27 @@
 //
 // Usage: cold_serve <model> [--port N] [--reactors N] [--replicas N]
 //                   [--idle-timeout-seconds N] [--blocking] [--workers N]
-//                   [--cache N] [--cache-shards N] [--no-batching]
-//                   [--batch-max N] [--batch-wait-us N]
+//                   [--cache N] [--cache-shards N]
 //                   [--top-communities N] [--max-inflight N]
+//                   [--slow-request-ms N]
 //
 // --reactors picks the event-loop thread count (0 = one per hardware
 // thread, capped at 16); --blocking falls back to the legacy
 // thread-per-connection core sized by --workers. --replicas shards
 // queries across N predictor replicas by the author's home community;
-// arena snapshots share one mmap across all replicas.
+// arena snapshots share one mmap across all replicas. Every request is
+// answered on the thread that parsed it; a /v1/diffusion fan-out computes
+// its post's topic posterior once and scores each candidate against it.
+// Posteriors are kept per snapshot generation in an LRU of --cache
+// entries split over --cache-shards shards.
 //
 // --max-inflight enables load shedding: connections beyond N concurrently
 // serviced ones are answered 503 + Retry-After instead of queueing (0 =
 // accept everything; counted by the serve_shed_total metric).
 //
 // --slow-request-ms N logs any request slower than N ms with its method,
-// path, latency and diffusion batch size (0 disables the log).
+// path, latency and diffusion candidate count, logged as batch_size (0
+// disables the log).
 //
 // Endpoints: POST /v1/diffusion, /v1/topic_posterior, /v1/link,
 // /v1/timestamp; GET /v1/influential_communities, /healthz, /metrics
@@ -57,7 +62,6 @@ int Usage(const char* argv0) {
                "usage: %s <model> [--port N=8080] [--reactors N=0] "
                "[--replicas N=1] [--idle-timeout-seconds N=5] [--blocking] "
                "[--workers N=8] [--cache N=4096] [--cache-shards N=8] "
-               "[--no-batching] [--batch-max N=64] [--batch-wait-us N=200] "
                "[--top-communities N=5] [--max-inflight N=0] "
                "[--slow-request-ms N=0]\n",
                argv0);
@@ -92,12 +96,9 @@ int main(int argc, char** argv) {
   int cache_shards = 8;
   bool blocking = false;
   int cache = 4096;
-  int batch_max = 64;
-  int batch_wait_us = 200;
   int top_communities = 5;
   int max_inflight = 0;
   int slow_request_ms = 0;
-  bool batching = true;
 
   for (int i = 2; i < argc; ++i) {
     const char* arg = argv[i];
@@ -120,12 +121,6 @@ int main(int argc, char** argv) {
       blocking = true;
     } else if (std::strcmp(arg, "--cache") == 0) {
       if (!next(0, 1 << 24, &cache)) return Usage(argv[0]);
-    } else if (std::strcmp(arg, "--no-batching") == 0) {
-      batching = false;
-    } else if (std::strcmp(arg, "--batch-max") == 0) {
-      if (!next(1, 65536, &batch_max)) return Usage(argv[0]);
-    } else if (std::strcmp(arg, "--batch-wait-us") == 0) {
-      if (!next(0, 1000000, &batch_wait_us)) return Usage(argv[0]);
     } else if (std::strcmp(arg, "--top-communities") == 0) {
       if (!next(1, 1 << 20, &top_communities)) return Usage(argv[0]);
     } else if (std::strcmp(arg, "--max-inflight") == 0) {
@@ -144,9 +139,6 @@ int main(int argc, char** argv) {
   service_options.num_replicas = replicas;
   service_options.posterior_cache_capacity = static_cast<size_t>(cache);
   service_options.cache_shards = static_cast<size_t>(cache_shards);
-  service_options.batching_enabled = batching;
-  service_options.max_batch = static_cast<size_t>(batch_max);
-  service_options.batch_wait_us = batch_wait_us;
   service_options.slow_request_ms = slow_request_ms;
 
   serve::ModelService service(service_options);
