@@ -6,10 +6,7 @@
 //   - tokens/sec over the sharded-superstep wall time;
 //   - measured comm bytes on the wire (coordinator send + recv, so every
 //     frame is counted exactly once) total and per superstep;
-//   - mean superstep wall seconds and barrier wait seconds;
-//   - the ClusterModel's *simulated* projection for the same node count
-//     (explicitly labeled: a model estimate, not a measurement) so the
-//     §10 cost model can be validated against the real thing.
+//   - mean superstep wall seconds and barrier wait seconds.
 //
 // The run double-checks the tentpole determinism guarantee: every node
 // count must finish with byte-identical serialized state to the 1-node
@@ -25,7 +22,6 @@
 #include <vector>
 
 #include "common.h"
-#include "core/parallel_sampler.h"
 #include "dist/dist_trainer.h"
 #include "serve/json.h"
 #include "util/stopwatch.h"
@@ -99,26 +95,6 @@ NodeCountResult RunNodes(const BenchSetup& setup, int num_nodes) {
   return result;
 }
 
-/// The §10 simulated-cluster projection for the same config at
-/// `num_nodes`: runs the single-process engine with N *simulated* nodes
-/// and asks the ClusterModel for a wall-time estimate. Reported alongside
-/// the measurement purely for model validation — it is not a measurement.
-double SimulatedSeconds(const BenchSetup& setup, int num_nodes) {
-  engine::ClusterModel cluster;        // 1 GB/s NIC
-  cluster.sync_latency_sec = 5e-4;     // sub-ms MPI-style barrier
-  engine::EngineOptions options;
-  options.num_nodes = num_nodes;
-  core::ParallelColdTrainer trainer(setup.config, setup.dataset.posts,
-                                    &setup.dataset.interactions, options);
-  auto st = trainer.Init();
-  if (st.ok()) st = trainer.Train();
-  if (!st.ok()) {
-    std::fprintf(stderr, "simulated run failed: %s\n", st.ToString().c_str());
-    std::exit(1);
-  }
-  return trainer.SimulatedWallSeconds(cluster);
-}
-
 bool ValidateJson(const std::string& path) {
   auto parsed = bench::LoadJsonFile(path);
   if (!parsed.ok()) {
@@ -187,8 +163,8 @@ int main(int argc, char** argv) {
   root.Set("tokens", static_cast<double>(setup.tokens));
   serve::Json counts = serve::Json::MakeArray();
 
-  std::printf("%-7s %-13s %-13s %-14s %-13s %-13s\n", "nodes", "tokens/sec",
-              "measured (s)", "simulated (s)", "comm bytes", "barrier (s)");
+  std::printf("%-7s %-13s %-13s %-13s %-13s\n", "nodes", "tokens/sec",
+              "measured (s)", "comm bytes", "barrier (s)");
   std::string reference_state;
   bool all_deterministic = true;
   for (int num_nodes : {1, 2, 4}) {
@@ -206,18 +182,14 @@ int main(int argc, char** argv) {
     // Star topology: every frame crosses the coordinator exactly once, so
     // rank 0's send + recv totals are the whole cluster's wire traffic.
     int64_t comm_bytes = stats.bytes_sent + stats.bytes_received;
-    double simulated = SimulatedSeconds(setup, num_nodes);
-    std::printf("%-7d %-13.0f %-13.3f %-14.3f %-13lld %-13.4f\n", num_nodes,
-                tps, run.measured_seconds, simulated,
-                static_cast<long long>(comm_bytes),
+    std::printf("%-7d %-13.0f %-13.3f %-13lld %-13.4f\n", num_nodes, tps,
+                run.measured_seconds, static_cast<long long>(comm_bytes),
                 stats.barrier_wait_seconds);
 
     serve::Json point = serve::Json::MakeObject();
     point.Set("nodes", static_cast<double>(num_nodes));
     point.Set("tokens_per_sec", tps);
     point.Set("measured_seconds", run.measured_seconds);
-    // Model projection from the §10 simulated cluster — NOT a measurement.
-    point.Set("simulated_seconds_model", simulated);
     point.Set("comm_bytes_total", static_cast<double>(comm_bytes));
     point.Set("comm_bytes_per_superstep",
               stats.supersteps_run > 0

@@ -1,15 +1,11 @@
-// Figure 13: training-time scalability of the parallel GAS sampler.
-//   (a) wall time vs data size at a fixed 4-node cluster — linear shape;
-//   (b) wall time vs cluster size on the full set — near-linear speedup;
-//   (c) the same node sweep run for real: N distributed trainer nodes
-//       (the `cold_train --nodes N` code path, in-process over loopback)
-//       with *measured* wall seconds and wire bytes next to the model's
-//       projection for the same node count.
-// Parts (a) and (b) are SIMULATED: the engine attributes measured compute
-// to nodes by work share and adds the §10 ClusterModel's communication
-// cost — a projection, labeled as such in every table. Part (c) is the
-// real distributed implementation (DESIGN.md §12) and is the ground truth
-// the projection is validated against.
+// Figure 13: training-time scalability, measured.
+//   (a) engine compute seconds vs data size on one worker — the paper's
+//       linear shape;
+//   (b) wall time vs node count: N distributed trainer nodes (the
+//       `cold_train --nodes N` code path, in-process over loopback) with
+//       measured wall seconds, wire bytes and barrier wait (DESIGN.md §12).
+// The N nodes share this host's CPUs, so (b) reads protocol overhead, not
+// the paper's cluster speedup.
 #include <memory>
 #include <vector>
 
@@ -21,33 +17,10 @@
 int main() {
   using namespace cold;
   bench::QuietLogs();
-  bench::PrintHeader(
-      "Fig 13a: training time vs data size (4 simulated nodes)");
+  bench::PrintHeader("Fig 13a: training time vs data size (1 worker)");
 
   const int iterations = 20;
-  engine::ClusterModel cluster;  // 1 GB/s NIC
-  cluster.sync_latency_sec = 5e-4;  // sub-ms MPI-style barrier
-
-  auto train = [&](const data::SocialDataset& ds, int nodes,
-                   double* sim_seconds) {
-    core::ColdConfig config = bench::BenchColdConfig(8, 12, iterations);
-    config.burn_in = 0;
-    engine::EngineOptions options;
-    options.num_nodes = nodes;
-    core::ParallelColdTrainer trainer(config, ds.posts, &ds.interactions,
-                                      options);
-    auto st = trainer.Init();
-    if (st.ok()) st = trainer.Train();
-    if (!st.ok()) {
-      std::fprintf(stderr, "training failed: %s\n", st.ToString().c_str());
-      std::exit(1);
-    }
-    *sim_seconds = trainer.SimulatedWallSeconds(cluster);
-    return trainer.engine_stats().total_seconds();
-  };
-
-  std::printf("%-12s %-10s %-16s %-22s\n", "users", "posts",
-              "compute (s)", "simulated wall (s, model)");
+  std::printf("%-12s %-10s %-16s\n", "users", "posts", "compute (s)");
   data::SocialDataset base_ds = [] {
     data::SyntheticConfig dc = bench::BenchDataConfig();
     return bench::GenerateBenchData(dc);
@@ -56,50 +29,22 @@ int main() {
     data::SyntheticConfig dc = bench::BenchDataConfig();
     dc.num_users = static_cast<int>(dc.num_users * frac);
     data::SocialDataset ds = bench::GenerateBenchData(dc);
-    double sim = 0.0;
-    double measured = train(ds, 4, &sim);
-    std::printf("%-12d %-10d %-16.3f %-22.3f\n", ds.num_users(),
-                ds.posts.num_posts(), measured, sim);
-  }
-  std::printf("(paper shape: time grows linearly with data size; wall\n"
-              " seconds above are MODEL PROJECTIONS, not measurements)\n\n");
-
-  bench::PrintHeader(
-      "Fig 13b: simulated training time vs #nodes (full dataset)");
-  // Fig 13b uses the "whole dataset" (4x the Fig-13a maximum), mirroring the
-  // paper's use of the larger crawl for the node sweep.
-  data::SyntheticConfig full = bench::BenchDataConfig();
-  full.num_users *= 4;
-  data::SocialDataset ds = bench::GenerateBenchData(full);
-  std::printf("%-8s %-22s %-20s %-12s\n", "nodes", "simulated (s, model)",
-              "comm (MB/superstep)", "speedup");
-  double base = -1.0;
-  for (int nodes : {1, 2, 4, 8}) {
-    double sim = 0.0;
     core::ColdConfig config = bench::BenchColdConfig(8, 12, iterations);
     config.burn_in = 0;
-    engine::EngineOptions options;
-    options.num_nodes = nodes;
-    core::ParallelColdTrainer trainer(config, ds.posts, &ds.interactions,
-                                      options);
+    core::ParallelColdTrainer trainer(config, ds.posts, &ds.interactions);
     if (!trainer.Init().ok() || !trainer.Train().ok()) return 1;
-    sim = trainer.SimulatedWallSeconds(cluster);
-    if (base < 0.0) base = sim;
-    double comm_mb = static_cast<double>(trainer.engine_stats().comm_bytes) /
-                     trainer.engine_stats().supersteps / 1e6;
-    std::printf("%-8d %-22.3f %-20.2f %-12.2f\n", nodes, sim, comm_mb,
-                base / sim);
+    std::printf("%-12d %-10d %-16.3f\n", ds.num_users(),
+                ds.posts.num_posts(), trainer.engine_stats().total_seconds());
   }
-  std::printf("(paper shape: near-linear speedup, flattening as sync and\n"
-              " communication costs grow; MODEL PROJECTIONS as above)\n\n");
+  std::printf("(paper shape: time grows linearly with data size)\n\n");
 
   bench::PrintHeader(
-      "Fig 13c: MEASURED multi-node training time (real dist trainer)");
-  // The real thing: N distributed nodes over loopback transports running
-  // the sharded delta-merge protocol, next to the model's projection for
-  // the same node count. Base Fig-13a dataset so the sweep stays quick.
-  std::printf("%-8s %-16s %-22s %-16s %-12s\n", "nodes", "measured (s)",
-              "simulated (s, model)", "wire bytes", "barrier (s)");
+      "Fig 13b: MEASURED multi-node training time (real dist trainer)");
+  // N distributed nodes over loopback transports running the sharded
+  // delta-merge protocol (the `cold_train --nodes N` code path) on the
+  // base Fig-13a dataset.
+  std::printf("%-8s %-16s %-16s %-12s\n", "nodes", "measured (s)",
+              "wire bytes", "barrier (s)");
   for (int num_nodes : {1, 2, 4}) {
     core::ColdConfig config = bench::BenchColdConfig(8, 12, iterations);
     config.burn_in = 0;
@@ -123,11 +68,8 @@ int main() {
                    st.ToString().c_str());
       return 1;
     }
-    double sim = 0.0;
-    train(base_ds, num_nodes, &sim);
     const dist::DistStats& stats = nodes[0]->stats();
-    std::printf("%-8d %-16.3f %-22.3f %-16lld %-12.4f\n", num_nodes,
-                measured, sim,
+    std::printf("%-8d %-16.3f %-16lld %-12.4f\n", num_nodes, measured,
                 static_cast<long long>(stats.bytes_sent +
                                        stats.bytes_received),
                 stats.barrier_wait_seconds);

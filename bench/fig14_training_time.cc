@@ -1,7 +1,12 @@
 // Figure 14: training time of all methods (C = K at the bench scale).
 // COLD models text+network+time jointly, so its serial cost exceeds the
-// partial-feature baselines; the 8-node parallel run ("COLD (8)") brings it
-// back to a practical range — the paper's deployment argument.
+// partial-feature baselines. "COLD (N thr)" is the measured parallel
+// trainer at this host's hardware thread count N; the paper's 8-machine
+// cluster run is not reproduced here.
+#include <algorithm>
+#include <string>
+#include <thread>
+
 #include "baselines/eutb.h"
 #include "baselines/mmsb.h"
 #include "baselines/pipeline.h"
@@ -38,11 +43,15 @@ int main() {
     // comparison.
     core::ColdConfig config = bench::BenchColdConfig(8, 12, iterations);
     engine::EngineOptions options;
-    options.num_nodes = 8;
+    options.threads_per_node =
+        std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
     core::ParallelColdTrainer trainer(config, dataset.posts,
                                       &dataset.interactions, options);
+    Stopwatch watch;
     if (!trainer.Init().ok() || !trainer.Train().ok()) return 1;
-    report("COLD (8)", trainer.SimulatedWallSeconds());
+    const std::string label =
+        "COLD (" + std::to_string(options.threads_per_node) + " thr)";
+    report(label.c_str(), watch.ElapsedSeconds());
   }
   {
     Stopwatch watch;
@@ -107,7 +116,7 @@ int main() {
   }
   std::printf(
       "\n(paper shape: serial COLD costs more than partial-feature\n"
-      " baselines; COLD (8) on the cluster is competitive)\n");
+      " baselines; the paper's 8-machine COLD run is competitive)\n");
   bench::DumpTelemetryIfRequested();
   return 0;
 }

@@ -7,15 +7,13 @@
 //   - the delta-table scatter vs the legacy shared-atomic mode at the
 //     maximum thread count (the contention + per-token-log A/B);
 //   - the PR 4 serial sampler on the same data, so the parallel numbers are
-//     anchored to the single-core baseline;
-//   - partitioner communication accounting at num_nodes = 4: comm bytes and
-//     cut edges under modulo vs degree-aware greedy placement.
+//     anchored to the single-core baseline.
 //
 // Results land as JSON in --out (default BENCH_parallel.json) so runs can
 // be diffed across commits. --smoke shrinks everything to seconds of
 // runtime, re-parses the emitted JSON and fails (exit 1) unless it is
-// well-formed with positive throughput and the greedy partitioner beats
-// modulo on comm bytes — wired up as the `bench_parallel_smoke` ctest.
+// well-formed with positive throughput — wired up as the
+// `bench_parallel_smoke` ctest.
 #include <algorithm>
 #include <cstring>
 #include <string>
@@ -59,20 +57,14 @@ struct Scale {
   const char* name;
   double data_scale;  // multiplies BenchDataConfig user count
   int supersteps;
-  int partition_supersteps;
 };
 
-struct TrainResult {
-  /// Fastest single superstep — the noise-robust throughput basis on a
-  /// shared machine (slow outliers are scheduler preemption, not sampler
-  /// cost).
-  double min_superstep_seconds = 0.0;
-  engine::EngineStats stats;
-};
-
-TrainResult RunParallel(const core::ColdConfig& config,
-                        const data::SocialDataset& ds,
-                        engine::EngineOptions options) {
+/// Trains `config.iterations` supersteps and returns the fastest single
+/// superstep's seconds — the noise-robust throughput basis on a shared
+/// machine (slow outliers are scheduler preemption, not sampler cost).
+double MinSuperstepSeconds(const core::ColdConfig& config,
+                           const data::SocialDataset& ds,
+                           engine::EngineOptions options) {
   core::ParallelColdTrainer trainer(config, ds.posts, &ds.interactions,
                                     options);
   auto st = trainer.Init();
@@ -80,17 +72,14 @@ TrainResult RunParallel(const core::ColdConfig& config,
     std::fprintf(stderr, "parallel init failed: %s\n", st.ToString().c_str());
     std::exit(1);
   }
-  TrainResult result;
+  double min_seconds = 0.0;
   for (int step = 0; step < config.iterations; ++step) {
     Stopwatch watch;
     trainer.RunSuperstep();
     double seconds = watch.ElapsedSeconds();
-    if (step == 0 || seconds < result.min_superstep_seconds) {
-      result.min_superstep_seconds = seconds;
-    }
+    if (step == 0 || seconds < min_seconds) min_seconds = seconds;
   }
-  result.stats = trainer.engine_stats();
-  return result;
+  return min_seconds;
 }
 
 serve::Json RunScale(const Scale& scale) {
@@ -135,9 +124,9 @@ serve::Json RunScale(const Scale& scale) {
     engine::EngineOptions options;
     options.threads_per_node = threads;
     options.oversubscribe = threads > hw_threads;
-    TrainResult run = RunParallel(config, ds, options);
-    double tps = rate(run.min_superstep_seconds, tokens);
-    double lps = rate(run.min_superstep_seconds, links);
+    double min_seconds = MinSuperstepSeconds(config, ds, options);
+    double tps = rate(min_seconds, tokens);
+    double lps = rate(min_seconds, links);
     tokens_per_sec_series.push_back(tps);
     delta_max_threads_tps = tps;
     serve::Json point = serve::Json::MakeObject();
@@ -220,35 +209,11 @@ serve::Json RunScale(const Scale& scale) {
             serial_tps > 0.0 ? delta_max_threads_tps / serial_tps : 0.0);
     std::printf("serial sampler %.0f tokens/sec\n", serial_tps);
   }
-
-  // --- partitioner communication accounting at 4 simulated nodes ---
-  {
-    core::ColdConfig pconfig = config;
-    pconfig.iterations = scale.partition_supersteps;
-    auto stats_for = [&](engine::PartitionerKind kind) {
-      engine::EngineOptions options;
-      options.num_nodes = 4;
-      options.partitioner = kind;
-      return RunParallel(pconfig, ds, options).stats;
-    };
-    engine::EngineStats modulo = stats_for(engine::PartitionerKind::kModulo);
-    engine::EngineStats greedy = stats_for(engine::PartitionerKind::kGreedy);
-    serve::Json part = serve::Json::MakeObject();
-    part.Set("modulo_comm_bytes", static_cast<double>(modulo.comm_bytes));
-    part.Set("greedy_comm_bytes", static_cast<double>(greedy.comm_bytes));
-    part.Set("modulo_cut_edges", static_cast<double>(modulo.cut_edges));
-    part.Set("greedy_cut_edges", static_cast<double>(greedy.cut_edges));
-    out.Set("partitioner", part);
-    std::printf("partitioner comm bytes: modulo %lld, greedy %lld\n",
-                static_cast<long long>(modulo.comm_bytes),
-                static_cast<long long>(greedy.comm_bytes));
-  }
   return out;
 }
 
 /// Smoke validation: the emitted file must parse as JSON with the expected
-/// shape, strictly positive throughput everywhere, and the greedy
-/// partitioner strictly below modulo on comm bytes.
+/// shape and strictly positive throughput everywhere.
 bool ValidateJson(const std::string& path) {
   auto parsed = bench::LoadJsonFile(path);
   if (!parsed.ok()) {
@@ -286,20 +251,6 @@ bool ValidateJson(const std::string& path) {
         return false;
       }
     }
-    const serve::Json* part = scale.Find("partitioner");
-    if (part == nullptr) {
-      std::fprintf(stderr, "smoke: missing partitioner section\n");
-      return false;
-    }
-    const serve::Json* modulo = part->Find("modulo_comm_bytes");
-    const serve::Json* greedy = part->Find("greedy_comm_bytes");
-    if (modulo == nullptr || greedy == nullptr || !modulo->is_number() ||
-        !greedy->is_number() ||
-        !(greedy->as_number() < modulo->as_number())) {
-      std::fprintf(stderr,
-                   "smoke: greedy comm bytes not below modulo comm bytes\n");
-      return false;
-    }
   }
   return true;
 }
@@ -322,14 +273,14 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
-  bench::PrintHeader("Parallel trainer: strong scaling and partitioning");
+  bench::PrintHeader("Parallel trainer: strong scaling");
 
   std::vector<Scale> scales;
   if (smoke) {
-    scales.push_back({"smoke", 0.05, 3, 2});
+    scales.push_back({"smoke", 0.05, 3});
   } else {
-    scales.push_back({"small", 0.25, 10, 4});
-    scales.push_back({"medium", 1.0, 5, 2});
+    scales.push_back({"small", 0.25, 10});
+    scales.push_back({"medium", 1.0, 5});
   }
 
   serve::Json root = serve::Json::MakeObject();

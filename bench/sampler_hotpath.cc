@@ -389,7 +389,7 @@ serve::Json RunScale(const Scale& scale) {
   parallel_config.iterations = scale.parallel_supersteps;
   parallel_config.burn_in = std::max(0, scale.parallel_supersteps - 1);
   engine::EngineOptions options;
-  options.num_nodes = 4;
+  options.threads_per_node = 4;
   core::ParallelColdTrainer trainer(parallel_config, dataset.posts,
                                     &dataset.interactions, options);
   if (auto st = trainer.Init(); !st.ok()) {

@@ -228,17 +228,9 @@ class ColdVertexProgram {
   /// (RunSuperstepSharded). Delta mode only.
   void set_defer_delta_merge(bool defer) { defer_merge_ = defer; }
 
-  /// Bytes of the global aggregator state broadcast each superstep:
-  /// n_ck, n_c, n_kv, n_k, n_cc.
-  int64_t GlobalStateBytes() const {
-    const int64_t C = config_.num_communities;
-    const int64_t K = config_.num_topics;
-    const int64_t V = state_->V();
-    return 4 * (C * K + C + K * V + K + C * C);
-  }
-
   /// Work units: tokens plus per-post sampling cost for post edges; the
-  /// link-table cost for link edges.
+  /// link-table cost for link edges (the vertex weights of
+  /// ComputeChunkOwners' greedy placement).
   int64_t EdgeWorkUnits(engine::EdgeId e) const {
     const ColdEdge& ed = graph_->edge_data(e);
     const int64_t C = config_.num_communities;
@@ -945,8 +937,8 @@ size_t ParallelColdTrainer::DeltaTableSize() const {
 
 std::vector<int32_t> ParallelColdTrainer::ComputeChunkOwners(
     int num_nodes) const {
-  // Same vertex work model as the engine's greedy placement: each edge's
-  // work units charged to its source vertex.
+  // Each edge's work units are charged to its source vertex (edges run on
+  // their source's node).
   std::vector<int64_t> vertex_work(
       static_cast<size_t>(graph_->num_vertices()), 0);
   const int64_t num_edges = graph_->num_edges();
@@ -1088,11 +1080,6 @@ ColdState ParallelColdTrainer::StateSnapshot() const {
 const engine::EngineStats& ParallelColdTrainer::engine_stats() const {
   static const engine::EngineStats kEmpty;
   return engine_ != nullptr ? engine_->stats() : kEmpty;
-}
-
-double ParallelColdTrainer::SimulatedWallSeconds(
-    const engine::ClusterModel& model) const {
-  return engine_ != nullptr ? engine_->SimulatedWallSeconds(model) : 0.0;
 }
 
 }  // namespace cold::core

@@ -8,8 +8,7 @@
 // Counter placement follows Alg 2: per-user membership counts n_ic and
 // per-time counts n_ckt are vertex-owned and rebuilt in the gather/apply
 // phases each superstep; the low-dimensional global counters (n_ck, n_kv,
-// n_k, n_cc) are shared aggregates broadcast at superstep boundaries (the
-// engine accounts that traffic).
+// n_k, n_cc) are shared aggregates synchronized at superstep boundaries.
 //
 // Scatter draws new assignments with Eqs. (1)-(3). In the default
 // delta-table mode the canonical counters stay frozen for the whole phase:
@@ -131,9 +130,9 @@ class ParallelColdTrainer {
   size_t DeltaTableSize() const;
 
   /// \brief Deterministic chunk → node assignment: greedy vertex partition
-  /// (PartitionerKind::kGreedy weights) lifted to chunks by work-unit
-  /// plurality of each chunk's edges, ties to the lowest node id. Every
-  /// node computes the identical table. Requires Init().
+  /// (engine::GreedyAssignment over edge work units) lifted to chunks by
+  /// work-unit plurality of each chunk's edges, ties to the lowest node id.
+  /// Every node computes the identical table. Requires Init().
   std::vector<int32_t> ComputeChunkOwners(int num_nodes) const;
 
   /// \brief Runs one superstep scattering only chunks with a nonzero mask
@@ -156,10 +155,6 @@ class ParallelColdTrainer {
   ColdState StateSnapshot() const;
 
   const engine::EngineStats& engine_stats() const;
-
-  /// \brief Projected wall-clock on the simulated cluster (see
-  /// engine::GasEngine::SimulatedWallSeconds).
-  double SimulatedWallSeconds(const engine::ClusterModel& model = {}) const;
 
   double lambda0() const { return lambda0_; }
 

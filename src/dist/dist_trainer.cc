@@ -16,9 +16,8 @@ namespace cold::dist {
 
 namespace {
 
-/// cold/dist/* telemetry: real bytes on the wire (vs the engine's
-/// simulated comm_bytes), frame counts, and barrier-wait distribution so
-/// SimulatedWallSeconds projections can be validated against measurement.
+/// cold/dist/* telemetry: real bytes on the wire, frame counts, and the
+/// barrier-wait distribution.
 struct DistMetrics {
   obs::Counter* comm_bytes;
   obs::Counter* frames;
@@ -87,12 +86,7 @@ void SendAbort(Transport* peer, int32_t rank, const std::string& reason) {
 
 DistTrainer::DistTrainer(DistConfig config, const text::PostStore& posts,
                          const graph::Digraph* links)
-    : config_(std::move(config)), posts_(posts), links_(links) {
-  // Each process is one real node: the engine's simulated-cluster model is
-  // superseded by actual measurement (cut_edges = 0 keeps the simulated
-  // comm accounting out of the per-node numbers).
-  config_.engine.num_nodes = 1;
-}
+    : config_(std::move(config)), posts_(posts), links_(links) {}
 
 DistTrainer::~DistTrainer() { StopHeartbeats(); }
 

@@ -52,10 +52,9 @@ struct DistConfig {
   /// This process's rank; rank 0 coordinates.
   int node_rank = 0;
   core::ColdConfig cold;
-  /// Per-node engine options. `num_nodes` is forced to 1 internally (each
-  /// process is one real node; the simulated-cluster model does not apply)
-  /// and `legacy_shared_counters` is rejected (sharded scatter needs the
-  /// delta tables). Checkpoint byte-identity across cluster sizes holds
+  /// Per-node engine options (`threads_per_node` workers in this process).
+  /// `legacy_shared_counters` is rejected (sharded scatter needs the delta
+  /// tables). Checkpoint byte-identity across cluster sizes holds
   /// when `threads_per_node` matches (per-worker RNG streams are part of
   /// the parallel checkpoint payload).
   engine::EngineOptions engine;

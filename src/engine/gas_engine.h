@@ -18,15 +18,13 @@
 // duck typing:
 //   void PreScatter(cold::ThreadPool*);   // after apply, before scatter —
 //                                         // e.g. rebuild derived caches
-//   void PostScatter(cold::ThreadPool*);  // after scatter, before comm
-//                                         // accounting — e.g. merge
+//   void PostScatter(cold::ThreadPool*);  // after scatter, before the
+//                                         // superstep ends — e.g. merge
 //                                         // per-worker delta tables
 //
-// Cluster simulation: vertices are placed on `options.num_nodes` simulated
-// machines by a Partitioner. Phases execute on `num_nodes * threads_per_node`
-// real threads (capped at the host's hardware concurrency), and the engine
-// accounts the bytes that *would* cross the network: gather/scatter traffic
-// for cut edges plus the periodic broadcast of global aggregator state.
+// Phases execute on `threads_per_node` real threads (capped at the host's
+// hardware concurrency). Multi-machine execution is src/dist: one engine per
+// process, each scattering the chunks its node owns.
 #pragma once
 
 #include <algorithm>
@@ -34,7 +32,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "engine/partitioner.h"
 #include "engine/property_graph.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -53,26 +50,18 @@ namespace internal {
 /// engine; the registry view is for telemetry snapshots.
 struct EngineMetrics {
   obs::Gauge* gather_seconds;
-  obs::Gauge* apply_seconds;
   obs::Gauge* scatter_seconds;
   obs::Gauge* merge_seconds;
-  obs::Counter* comm_bytes;
   obs::Counter* supersteps;
-  obs::Gauge* cut_edges;
-  obs::Gauge* work_skew;
 };
 
 inline EngineMetrics& GetEngineMetrics() {
   auto& registry = obs::Registry::Global();
   static EngineMetrics metrics{
       registry.GetGauge("cold/engine/gather_seconds"),
-      registry.GetGauge("cold/engine/apply_seconds"),
       registry.GetGauge("cold/engine/scatter_seconds"),
       registry.GetGauge("cold/engine/merge_seconds"),
-      registry.GetCounter("cold/engine/comm_bytes"),
-      registry.GetCounter("cold/engine/supersteps"),
-      registry.GetGauge("cold/engine/cut_edges"),
-      registry.GetGauge("cold/engine/work_skew")};
+      registry.GetCounter("cold/engine/supersteps")};
   return metrics;
 }
 
@@ -107,25 +96,16 @@ enum class ExecutionMode { kSync, kAsync };
 
 /// \brief Engine configuration.
 struct EngineOptions {
-  /// Simulated cluster size (Fig 13b sweeps this).
-  int num_nodes = 1;
   /// Synchronous GAS supersteps (default) or asynchronous sweeps.
   ExecutionMode execution = ExecutionMode::kSync;
-  /// Worker threads per simulated node; total threads = num_nodes *
-  /// threads_per_node, capped at hardware concurrency unless
-  /// `oversubscribe` is set.
+  /// Worker threads of this engine (a distributed node is one process, so
+  /// this is also the per-node count), capped at hardware concurrency
+  /// unless `oversubscribe` is set.
   int threads_per_node = 1;
   /// Base seed for the per-chunk scatter RNG streams.
   uint64_t seed = 42;
-  /// Bytes accounted per cut-edge message (gather result or scattered
-  /// assignment); a knob for the communication model, not correctness.
-  int64_t bytes_per_edge_message = 16;
-  /// Vertex placement strategy. Greedy (degree-aware LDG) is the default —
-  /// it cuts fewer edges than modulo on clustered graphs; kModulo remains
-  /// for A/B comparisons.
-  PartitionerKind partitioner = PartitionerKind::kGreedy;
-  /// Run num_nodes * threads_per_node real threads even beyond the host's
-  /// hardware concurrency. Results are thread-count-invariant, so this is
+  /// Run threads_per_node real threads even beyond the host's hardware
+  /// concurrency. Results are thread-count-invariant, so this is
   /// for exercising multi-worker code paths (tests, TSan) on small hosts,
   /// not for throughput.
   bool oversubscribe = false;
@@ -139,33 +119,19 @@ struct EngineOptions {
 /// \brief Engine execution statistics, reset by each Run call.
 struct EngineStats {
   int supersteps = 0;
+  /// The fused gather+apply pass (one parallel sweep over vertices).
   double gather_seconds = 0.0;
+  /// Always 0: apply runs inside gather's pass and is booked there. Kept
+  /// because the pipeline benchmark (e2ebench/) reads it.
   double apply_seconds = 0.0;
   double scatter_seconds = 0.0;
   /// Time inside the program's PostScatter hook (delta-table merge); a
   /// subset of scatter_seconds, reported separately for the scaling bench.
   double merge_seconds = 0.0;
-  /// Simulated network traffic: cut-edge messages + aggregator broadcasts.
-  int64_t comm_bytes = 0;
-  /// Cut edges in the current partitioning (constant per partitioning).
-  int64_t cut_edges = 0;
-  /// Work units (program-defined, e.g. tokens sampled) per simulated node.
-  std::vector<int64_t> node_work_units;
 
   double total_seconds() const {
     return gather_seconds + apply_seconds + scatter_seconds;
   }
-};
-
-/// \brief Cost model for the simulated cluster, used to project the
-/// measured single-host execution onto an N-node deployment (this repo runs
-/// on one core; see DESIGN.md §1).
-struct ClusterModel {
-  /// Per-node NIC bandwidth.
-  double bandwidth_bytes_per_sec = 1.0e9;
-  /// Per-superstep barrier/aggregation latency factor (multiplied by
-  /// ceil(log2(nodes))).
-  double sync_latency_sec = 0.002;
 };
 
 /// \brief Worker-local context handed to scatter: a deterministic RNG stream
@@ -199,27 +165,11 @@ class GasEngine {
       : graph_(graph),
         program_(program),
         options_(options),
-        partitioner_(graph->num_vertices(), options.num_nodes),
         pool_(ComputeThreads(options)) {
     InitSamplers();
-    if (options_.partitioner == PartitionerKind::kGreedy &&
-        options_.num_nodes > 1 && graph_->num_vertices() > 0) {
-      // Edges execute on their source's node, so a vertex's work is the
-      // work of its out-edges.
-      std::vector<int64_t> vertex_work(
-          static_cast<size_t>(graph_->num_vertices()), 0);
-      for (EdgeId e = 0; e < graph_->num_edges(); ++e) {
-        vertex_work[static_cast<size_t>(graph_->src(e))] +=
-            program_->EdgeWorkUnits(e);
-      }
-      partitioner_.SetAssignment(
-          GreedyAssignment(*graph_, options_.num_nodes, vertex_work));
-    }
-    ComputePartitionStats();
   }
 
   const EngineStats& stats() const { return stats_; }
-  const Partitioner& partitioner() const { return partitioner_; }
   size_t num_threads() const { return pool_.num_threads(); }
 
   /// \brief Snapshots every worker's RNG stream (checkpoint capture).
@@ -240,18 +190,12 @@ class GasEngine {
           "checkpoint has " + std::to_string(states.size()) +
           " worker RNG streams but the engine runs " +
           std::to_string(samplers_.size()) +
-          " workers; resume with the same --parallel configuration");
+          " workers; resume with the same worker count (--threads)");
     }
     for (size_t w = 0; w < states.size(); ++w) {
       samplers_[w].RestoreState(states[w]);
     }
     return cold::Status::OK();
-  }
-
-  /// Replaces the vertex placement (e.g. for locality experiments).
-  void SetPartition(std::vector<int> assignment) {
-    partitioner_.SetAssignment(std::move(assignment));
-    ComputePartitionStats();
   }
 
   /// \brief Sets the superstep index that keys the per-chunk scatter RNG
@@ -277,31 +221,6 @@ class GasEngine {
     scatter_chunk_mask_ = mask;
   }
 
-  /// \brief Projects the measured execution time onto the simulated
-  /// `options.num_nodes`-machine cluster: the busiest node's share of the
-  /// compute plus the communication modeled by `model`. With one node this
-  /// returns measured compute time exactly.
-  double SimulatedWallSeconds(const ClusterModel& model = {}) const {
-    int64_t total = 0, max_node = 0;
-    for (int64_t w : stats_.node_work_units) {
-      total += w;
-      max_node = std::max(max_node, w);
-    }
-    double work_fraction =
-        total > 0 ? static_cast<double>(max_node) / static_cast<double>(total)
-                  : 1.0;
-    double compute = stats_.total_seconds() * work_fraction;
-    if (options_.num_nodes <= 1) return compute;
-    double comm = static_cast<double>(stats_.comm_bytes) /
-                  static_cast<double>(options_.num_nodes) /
-                  model.bandwidth_bytes_per_sec;
-    int log_nodes = 0;
-    for (int n = options_.num_nodes - 1; n > 0; n >>= 1) ++log_nodes;
-    double sync =
-        stats_.supersteps * model.sync_latency_sec * log_nodes;
-    return compute + comm + sync;
-  }
-
   /// \brief Runs `supersteps` full iterations in the configured execution
   /// mode, accumulating stats.
   void Run(int supersteps) {
@@ -319,17 +238,10 @@ class GasEngine {
   /// cursor and scatter against continuously-updated state. The program
   /// must maintain its own counters inside Scatter (the COLD program does,
   /// via atomics); gather-rebuilt state is never refreshed here.
-  ///
-  /// Communication model: cut edges still ship their assignment updates,
-  /// but there is no per-superstep aggregator broadcast — global counters
-  /// are exchanged as fine-grained deltas folded into the edge messages.
   void RunAsyncSweep() {
     COLD_TRACE_SPAN("engine/async_sweep");
     auto& metrics = internal::GetEngineMetrics();
     RunScatterPhase(metrics);
-    int64_t bytes = 2 * stats_.cut_edges * options_.bytes_per_edge_message;
-    stats_.comm_bytes += bytes;
-    metrics.comm_bytes->Increment(bytes);
     program_->PostSuperstep(graph_, stats_.supersteps);
     stats_.supersteps++;
     metrics.supersteps->Increment();
@@ -342,7 +254,7 @@ class GasEngine {
 
     // Gather + Apply. Each vertex's reduction is independent, so one
     // parallel sweep covers both phases (GraphLab fuses them the same way
-    // for synchronous execution).
+    // for synchronous execution); the pass is booked once, as gather.
     double ga = 0.0;
     if constexpr (Program::kGatherEdges != GatherEdges::kNone) {
       cold::ScopedTimer timer(ga);
@@ -367,22 +279,11 @@ class GasEngine {
         }
       });
     }
-    stats_.gather_seconds += ga * 0.5;
-    stats_.apply_seconds += ga * 0.5;
-    metrics.gather_seconds->Add(ga * 0.5);
-    metrics.apply_seconds->Add(ga * 0.5);
+    stats_.gather_seconds += ga;
+    metrics.gather_seconds->Add(ga);
 
     // Scatter.
     RunScatterPhase(metrics);
-
-    // Simulated network: every cut edge ships its gather contribution and
-    // its scattered assignment; global aggregator state is broadcast to all
-    // nodes at the sync point.
-    int64_t bytes = 2 * stats_.cut_edges * options_.bytes_per_edge_message +
-                    static_cast<int64_t>(options_.num_nodes - 1) *
-                        program_->GlobalStateBytes();
-    stats_.comm_bytes += bytes;
-    metrics.comm_bytes->Increment(bytes);
 
     program_->PostSuperstep(graph_, stats_.supersteps);
     stats_.supersteps++;
@@ -391,8 +292,7 @@ class GasEngine {
 
  private:
   static size_t ComputeThreads(const EngineOptions& options) {
-    size_t want = static_cast<size_t>(options.num_nodes) *
-                  static_cast<size_t>(options.threads_per_node);
+    size_t want = static_cast<size_t>(options.threads_per_node);
     if (options.oversubscribe) return std::max<size_t>(1, want);
     size_t hw = std::max<size_t>(1, std::thread::hardware_concurrency());
     return std::max<size_t>(1, std::min(want, hw));
@@ -466,37 +366,9 @@ class GasEngine {
     }
   }
 
-  void ComputePartitionStats() {
-    stats_.cut_edges = 0;
-    stats_.node_work_units.assign(
-        static_cast<size_t>(options_.num_nodes), 0);
-    for (EdgeId e = 0; e < graph_->num_edges(); ++e) {
-      if (partitioner_.IsCut(*graph_, e)) stats_.cut_edges++;
-      // Edges execute on their source's node (GraphLab assigns each edge to
-      // one owning replica).
-      int node = partitioner_.NodeOf(graph_->src(e));
-      stats_.node_work_units[static_cast<size_t>(node)] +=
-          program_->EdgeWorkUnits(e);
-    }
-    auto& metrics = internal::GetEngineMetrics();
-    metrics.cut_edges->Set(static_cast<double>(stats_.cut_edges));
-    int64_t total = 0, max_node = 0;
-    for (int64_t w : stats_.node_work_units) {
-      total += w;
-      max_node = std::max(max_node, w);
-    }
-    // Load-balance skew: busiest node's work over the per-node mean
-    // (1.0 = perfectly balanced).
-    double mean = total > 0 ? static_cast<double>(total) / options_.num_nodes
-                            : 1.0;
-    metrics.work_skew->Set(
-        total > 0 ? static_cast<double>(max_node) / mean : 1.0);
-  }
-
   Graph* graph_;
   Program* program_;
   EngineOptions options_;
-  Partitioner partitioner_;
   cold::ThreadPool pool_;
   // Legacy per-worker streams. Scatter now draws from per-chunk streams;
   // these remain only because the v1 checkpoint payload serializes them

@@ -1,5 +1,5 @@
-// Vertex partitioning across simulated cluster nodes, plus communication
-// accounting for edges that cross partitions.
+// Vertex placement over the nodes of a distributed run: the greedy
+// assignment that src/dist lifts to scatter-chunk ownership.
 #pragma once
 
 #include <algorithm>
@@ -10,49 +10,6 @@
 #include "engine/property_graph.h"
 
 namespace cold::engine {
-
-/// \brief Placement strategy for the engine's partitioner.
-enum class PartitionerKind {
-  /// Modulo over vertex ids (GraphLab's random hash placement degenerates
-  /// to this for dense ids). Balanced but locality-blind.
-  kModulo,
-  /// Degree-aware linear deterministic greedy (see GreedyAssignment).
-  kGreedy,
-};
-
-/// \brief Assigns vertices to `num_nodes` simulated machines.
-///
-/// The default strategy is modulo placement (GraphLab's random hash
-/// placement degenerates to this for dense ids). A custom assignment can be
-/// installed for locality experiments.
-class Partitioner {
- public:
-  /// Modulo partition of `num_vertices` ids over `num_nodes` nodes.
-  Partitioner(int32_t num_vertices, int num_nodes);
-
-  /// Installs an explicit assignment; `assignment[v]` in [0, num_nodes).
-  void SetAssignment(std::vector<int> assignment);
-
-  int num_nodes() const { return num_nodes_; }
-
-  /// The node owning vertex `v`.
-  int NodeOf(VertexId v) const {
-    return assignment_[static_cast<size_t>(v)];
-  }
-
-  /// True iff `e`'s endpoints live on different nodes.
-  template <typename VData, typename EData>
-  bool IsCut(const PropertyGraph<VData, EData>& g, EdgeId e) const {
-    return NodeOf(g.src(e)) != NodeOf(g.dst(e));
-  }
-
-  /// Number of vertices owned by each node.
-  std::vector<int64_t> NodeLoads() const;
-
- private:
-  int num_nodes_;
-  std::vector<int> assignment_;
-};
 
 /// \brief Degree-aware greedy placement: linear deterministic greedy (LDG,
 /// Stanton & Kliot, KDD 2012) with a work-weighted capacity constraint.
@@ -69,8 +26,7 @@ class Partitioner {
 /// the edges it owns); zero-work vertices still count one unit so hub-only
 /// vertices spread instead of piling onto one node. Compared with modulo
 /// placement, this cuts far fewer edges on community-clustered graphs
-/// (follower networks), directly lowering the engine's cut_edges and
-/// comm_bytes accounting.
+/// (follower networks).
 template <typename VData, typename EData>
 std::vector<int> GreedyAssignment(const PropertyGraph<VData, EData>& g,
                                   int num_nodes,

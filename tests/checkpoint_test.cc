@@ -222,7 +222,6 @@ TEST_F(CheckpointDirTest, ParallelSingleWorkerResumeIsBitIdentical) {
   const auto& ds = TestData();
   const core::ColdConfig config = TestConfig();
   engine::EngineOptions options;
-  options.num_nodes = 1;
   options.threads_per_node = 1;
 
   core::ParallelColdTrainer reference(config, ds.posts, &ds.interactions,
@@ -265,7 +264,6 @@ TEST_F(CheckpointDirTest, ParallelMultiWorkerResumeIsBitIdentical) {
   const auto& ds = TestData();
   const core::ColdConfig config = TestConfig();
   engine::EngineOptions options;
-  options.num_nodes = 1;
   options.threads_per_node = 4;
   options.oversubscribe = true;
 
@@ -304,8 +302,7 @@ TEST_F(CheckpointDirTest, ParallelRestoreKeepsCountersConsistent) {
   // counters must still agree with a recount from the assignments.
   const auto& ds = TestData();
   engine::EngineOptions options;
-  options.num_nodes = 2;
-  options.threads_per_node = 2;
+  options.threads_per_node = 4;
 
   core::ParallelColdTrainer trainer(TestConfig(), ds.posts, &ds.interactions,
                                     options);
@@ -326,14 +323,13 @@ TEST_F(CheckpointDirTest, ParallelRestoreKeepsCountersConsistent) {
 
 TEST_F(CheckpointDirTest, ParallelRestoreRejectsWorkerCountMismatch) {
   // The engine caps its pool at the host's core count, so a different
-  // --parallel configuration cannot reliably produce a different worker
-  // count here. Instead, forge a payload with one extra RNG stream: the
+  // --threads setting cannot reliably produce a different worker count
+  // here. Instead, forge a payload with one extra RNG stream: the
   // tail of a parallel payload is [worker count u32][count x 25-byte
   // RngState], so duplicating the last stream and bumping the count yields
   // a structurally valid checkpoint from a larger pool.
   const auto& ds = TestData();
   engine::EngineOptions options;
-  options.num_nodes = 1;
   options.threads_per_node = 1;
   core::ParallelColdTrainer trainer(TestConfig(), ds.posts, &ds.interactions,
                                     options);
@@ -379,7 +375,6 @@ TEST_F(CheckpointDirTest, SerialAndParallelPayloadsAreNotInterchangeable) {
   ASSERT_TRUE(serial.SerializeState(&snapshot).ok());
 
   engine::EngineOptions options;
-  options.num_nodes = 1;
   options.threads_per_node = 1;
   core::ParallelColdTrainer parallel(TestConfig(), ds.posts,
                                      &ds.interactions, options);

@@ -1,11 +1,9 @@
 // Coverage for corners the focused suites skip: negative paths of the
-// invariant checker, the cluster cost model's arithmetic, logging levels,
-// and odd-size split behaviour.
+// invariant checker, logging levels, and odd-size split behaviour.
 #include <gtest/gtest.h>
 
 #include "core/cold.h"
 #include "data/split.h"
-#include "engine/gas_engine.h"
 #include "util/logging.h"
 
 namespace cold {
@@ -52,62 +50,6 @@ TEST(InvariantCheckerTest, DetectsOutOfRangeAssignment) {
   sampler.mutable_state().post_community[1] = 99;
   EXPECT_FALSE(
       sampler.state().CheckInvariants(posts, nullptr, false).ok());
-}
-
-// ------------------------------------------------- cluster model maths ---
-
-struct UnitProgram {
-  using GatherType = int;
-  static constexpr engine::GatherEdges kGatherEdges =
-      engine::GatherEdges::kNone;
-  GatherType GatherInit() const { return 0; }
-  void Gather(const engine::PropertyGraph<int, int>&, engine::VertexId,
-              engine::EdgeId, GatherType*) const {}
-  void Apply(engine::PropertyGraph<int, int>*, engine::VertexId,
-             const GatherType&) {}
-  void Scatter(engine::PropertyGraph<int, int>*, engine::EdgeId,
-               engine::WorkerContext*) {}
-  void PostSuperstep(engine::PropertyGraph<int, int>*, int) {}
-  int64_t GlobalStateBytes() const { return 1000; }
-  int64_t EdgeWorkUnits(engine::EdgeId) const { return 1; }
-};
-
-TEST(ClusterModelTest, SingleNodeReturnsMeasuredCompute) {
-  engine::PropertyGraph<int, int> g;
-  g.AddVertex(0);
-  g.AddVertex(0);
-  g.AddEdge(0, 1, 0);
-  g.Finalize();
-  UnitProgram program;
-  engine::GasEngine<int, int, UnitProgram> eng(&g, &program);
-  eng.RunSuperstep();
-  engine::ClusterModel model;
-  model.sync_latency_sec = 100.0;  // must be ignored for one node
-  EXPECT_NEAR(eng.SimulatedWallSeconds(model),
-              eng.stats().total_seconds(), 1e-9);
-}
-
-TEST(ClusterModelTest, SyncLatencyScalesWithLogNodes) {
-  auto build = [](int nodes, double latency) {
-    engine::PropertyGraph<int, int> g;
-    for (int i = 0; i < 8; ++i) g.AddVertex(0);
-    for (int i = 0; i + 1 < 8; ++i) g.AddEdge(i, i + 1, 0);
-    g.Finalize();
-    UnitProgram program;
-    engine::EngineOptions options;
-    options.num_nodes = nodes;
-    engine::GasEngine<int, int, UnitProgram> eng(&g, &program, options);
-    eng.RunSuperstep();
-    engine::ClusterModel model;
-    model.bandwidth_bytes_per_sec = 1e18;  // comm free
-    model.sync_latency_sec = latency;
-    // Compute is ~0 for the unit program; sync dominates.
-    return eng.SimulatedWallSeconds(model);
-  };
-  // 1 superstep: ceil(log2(2)) = 1 unit, ceil(log2(8)) = 3 units.
-  double t2 = build(2, 1.0);
-  double t8 = build(8, 1.0);
-  EXPECT_NEAR(t8 - t2, 2.0, 0.05);
 }
 
 // -------------------------------------------------------------- logging --

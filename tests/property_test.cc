@@ -109,8 +109,10 @@ INSTANTIATE_TEST_SUITE_P(
 
 class ParallelSweep : public ::testing::TestWithParam<int> {};
 
+// Sweeps the engine's worker count (oversubscribed, so every count really
+// runs that many threads).
 TEST_P(ParallelSweep, InvariantsHoldForAnyNodeCount) {
-  int nodes = GetParam();
+  int workers = GetParam();
   const auto& ds = TinyDataset();
   core::ColdConfig config;
   config.num_communities = 3;
@@ -120,7 +122,8 @@ TEST_P(ParallelSweep, InvariantsHoldForAnyNodeCount) {
   config.iterations = 3;
   config.burn_in = 0;
   engine::EngineOptions options;
-  options.num_nodes = nodes;
+  options.threads_per_node = workers;
+  options.oversubscribe = true;
   core::ParallelColdTrainer trainer(config, ds.posts, &ds.interactions,
                                     options);
   ASSERT_TRUE(trainer.Init().ok());
@@ -128,9 +131,7 @@ TEST_P(ParallelSweep, InvariantsHoldForAnyNodeCount) {
   core::ColdState snapshot = trainer.StateSnapshot();
   auto status = snapshot.CheckInvariants(ds.posts, &ds.interactions, true);
   EXPECT_TRUE(status.ok()) << status.ToString();
-  EXPECT_EQ(trainer.engine_stats().node_work_units.size(),
-            static_cast<size_t>(nodes));
-  EXPECT_GT(trainer.SimulatedWallSeconds(), 0.0);
+  EXPECT_EQ(trainer.engine_stats().supersteps, config.iterations);
 }
 
 INSTANTIATE_TEST_SUITE_P(Nodes, ParallelSweep,

@@ -210,9 +210,8 @@ TEST(SweepEquivalenceTest, SerialFixedSeedTrajectoriesIdentical) {
 
 TEST(SweepEquivalenceTest, ParallelFixedSeedTrajectoriesIdentical) {
   const auto& ds = TestData();
-  // Single node, single worker: the engine's deterministic configuration.
+  // Single worker: the engine's deterministic configuration.
   engine::EngineOptions options;
-  options.num_nodes = 1;
   options.threads_per_node = 1;
   ParallelColdTrainer a(TestModelConfig(), ds.posts, &ds.interactions,
                         options);

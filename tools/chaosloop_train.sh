@@ -2,7 +2,7 @@
 # Network/process chaos acceptance drill for self-healing distributed
 # training (DESIGN.md §12):
 #
-#   cold_generate -> single-process reference (--parallel 1 --threads 1)
+#   cold_generate -> single-process reference (--parallel --threads 1)
 #                 -> clean SUPERVISED --nodes run (no faults): supervision
 #                    must not perturb the model — byte-identical, and no
 #                    restart may occur
@@ -58,7 +58,7 @@ echo "== generate dataset (faults at sweep ${FAULT_SWEEP}/${ITERATIONS}) =="
 echo "== single-process reference run =="
 "${BUILD_DIR}/tools/cold_train" "${WORK_DIR}/data" \
   "${WORK_DIR}/model_ref.bin" "${C}" "${K}" "${ITERATIONS}" \
-  --parallel 1 --threads 1 \
+  --parallel --threads 1 \
   || die "reference train"
 
 echo "== clean supervised 2-node run must be bit-identical, no restarts =="

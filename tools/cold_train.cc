@@ -2,10 +2,16 @@
 // layout) and writes the fitted estimates to a binary model file.
 //
 // Usage: cold_train <dataset-dir> <model-out> [C=8] [K=12] [iterations=150]
-//                   [--parallel [nodes=4]] [--metrics-out FILE] [--trace]
+//                   [--parallel] [--threads N] [--metrics-out FILE] [--trace]
 //                   [--trace-out FILE] [--profile] [--profile-out FILE]
 //                   [--oversubscribe] [--checkpoint-dir DIR]
 //                   [--checkpoint-every N] [--checkpoint-keep N] [--resume]
+//
+// --parallel trains on the single-process GAS engine with --threads N
+// worker threads (default 1; results are bit-identical at any worker
+// count) and prints the measured training time. --parallel takes no value:
+// `--parallel 4` exits 2 rather than shifting 4 into the positional
+// arguments.
 //
 // --metrics-out writes a JSON array with one telemetry snapshot per sweep
 // (sweep/phase durations, tokens resampled, switch rates, train
@@ -92,8 +98,8 @@ int Usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s <dataset-dir> <model-out> [C=8] [K=12] "
                "[--arena-out PATH] "
-               "[iterations=150] [--parallel [nodes=4]] [--threads N] "
-               "[--partitioner modulo|greedy] [--legacy-counters] "
+               "[iterations=150] [--parallel] [--threads N] "
+               "[--legacy-counters] "
                "[--nodes N [--node-rank R --coordinator HOST:PORT]] "
                "[--max-restarts K] [--heartbeat-interval-ms N] "
                "[--heartbeat-timeout-ms N] [--progress-timeout-ms N] "
@@ -140,7 +146,6 @@ struct Args {
   int num_topics = 12;
   int iterations = 150;
   bool parallel = false;
-  int nodes = 4;
   /// Real multi-process training: 0 = off, N >= 1 = cluster size.
   int dist_nodes = 0;
   int node_rank = -1;
@@ -152,8 +157,8 @@ struct Args {
   int heartbeat_interval_ms = 1000;
   int heartbeat_timeout_ms = 10000;
   int progress_timeout_ms = 120000;
+  /// Worker threads: of the --parallel engine, or of each --nodes process.
   int threads_per_node = 1;
-  cold::engine::PartitionerKind partitioner = cold::engine::PartitionerKind::kGreedy;
   bool legacy_counters = false;
   std::string metrics_out;
   bool trace = false;
@@ -197,13 +202,13 @@ bool ParseArgs(int argc, char** argv, Args* args) {
     const char* arg = argv[a];
     if (std::strcmp(arg, "--parallel") == 0) {
       args->parallel = true;
-      // Optional node count: consume the next token iff it is not a flag.
+      // --parallel takes no value; reject one rather than let it shift
+      // into the positional C/K/iterations.
       if (a + 1 < argc && argv[a + 1][0] != '-') {
-        if (!ParsePositiveInt(argv[++a], &args->nodes)) {
-          std::fprintf(stderr, "invalid --parallel node count '%s'\n",
-                       argv[a]);
-          return false;
-        }
+        std::fprintf(stderr,
+                     "--parallel takes no value (got '%s'; use --threads N)\n",
+                     argv[a + 1]);
+        return false;
       }
     } else if (std::strcmp(arg, "--nodes") == 0) {
       if (a + 1 >= argc || !ParsePositiveInt(argv[++a], &args->dist_nodes)) {
@@ -257,21 +262,6 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       if (a + 1 >= argc ||
           !ParsePositiveInt(argv[++a], &args->threads_per_node)) {
         std::fprintf(stderr, "--threads requires a positive int\n");
-        return false;
-      }
-    } else if (std::strcmp(arg, "--partitioner") == 0) {
-      if (a + 1 >= argc) {
-        std::fprintf(stderr, "--partitioner requires modulo|greedy\n");
-        return false;
-      }
-      const char* kind = argv[++a];
-      if (std::strcmp(kind, "modulo") == 0) {
-        args->partitioner = cold::engine::PartitionerKind::kModulo;
-      } else if (std::strcmp(kind, "greedy") == 0) {
-        args->partitioner = cold::engine::PartitionerKind::kGreedy;
-      } else {
-        std::fprintf(stderr, "unknown partitioner '%s' (modulo|greedy)\n",
-                     kind);
         return false;
       }
     } else if (std::strcmp(arg, "--legacy-counters") == 0) {
@@ -639,7 +629,6 @@ int RunDistNode(const Args& args, const cold::core::ColdConfig& config,
   dc.node_rank = rank;
   dc.cold = config;
   dc.engine.threads_per_node = args.threads_per_node;
-  dc.engine.partitioner = args.partitioner;
   dc.engine.legacy_shared_counters = args.legacy_counters;
   dc.engine.oversubscribe = args.oversubscribe;
   if (!args.checkpoint_dir.empty()) {
@@ -980,9 +969,7 @@ int main(int argc, char** argv) {
 
   if (args.parallel) {
     engine::EngineOptions options;
-    options.num_nodes = args.nodes;
     options.threads_per_node = args.threads_per_node;
-    options.partitioner = args.partitioner;
     options.legacy_shared_counters = args.legacy_counters;
     options.oversubscribe = args.oversubscribe;
     core::ParallelColdTrainer trainer(config, dataset.posts,
@@ -1014,10 +1001,8 @@ int main(int argc, char** argv) {
       return 1;
     }
     estimates = trainer.Estimates();
-    std::printf("parallel training (%d simulated nodes): measured %.2fs, "
-                "projected cluster wall %.2fs\n",
-                args.nodes, watch.ElapsedSeconds(),
-                trainer.SimulatedWallSeconds());
+    std::printf("parallel training (--threads %d): %.2fs\n",
+                args.threads_per_node, watch.ElapsedSeconds());
   } else {
     core::ColdGibbsSampler sampler(config, dataset.posts,
                                    &dataset.interactions);

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Distributed crash/recovery acceptance check (DESIGN.md §12):
 #
-#   cold_generate -> single-process reference (--parallel 1 --threads 1)
+#   cold_generate -> single-process reference (--parallel --threads 1)
+#                 -> the value-taking `--parallel 1` spelling exits 2
 #                 -> clean --nodes 2 run, model must be byte-identical
 #                 -> --nodes 2 again with one node SIGKILL'd mid-run via
 #                    COLD_FAULT_NODE/COLD_FAULT_POINT (job must abort)
@@ -43,8 +44,21 @@ echo "== generate dataset (kill node 1 at sweep ${KILL_SWEEP}/${ITERATIONS}) =="
 echo "== single-process reference run =="
 "${BUILD_DIR}/tools/cold_train" "${WORK_DIR}/data" \
   "${WORK_DIR}/model_ref.bin" "${C}" "${K}" "${ITERATIONS}" \
-  --parallel 1 --threads 1 \
+  --parallel --threads 1 \
   || die "reference train"
+
+echo "== --parallel takes no value: '--parallel 1' must exit 2 =="
+set +e
+"${BUILD_DIR}/tools/cold_train" "${WORK_DIR}/data" \
+  "${WORK_DIR}/model_misparsed.bin" "${C}" "${K}" "${ITERATIONS}" \
+  --parallel 1 --threads 1 >"${WORK_DIR}/misparse.log" 2>&1
+MISPARSE_CODE=$?
+set -e
+[[ "${MISPARSE_CODE}" -eq 2 ]] \
+  || die "'--parallel 1' exited ${MISPARSE_CODE}, want 2"
+[[ ! -e "${WORK_DIR}/model_misparsed.bin" ]] \
+  || die "'--parallel 1' must not write a model"
+echo "  rejected with exit 2, no model written"
 
 echo "== clean ${NODES}-node run must be bit-identical =="
 "${BUILD_DIR}/tools/cold_train" "${WORK_DIR}/data" \
