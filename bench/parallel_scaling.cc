@@ -4,9 +4,7 @@
 // Measures, at two data scales:
 //   - a strong-scaling thread series (1 .. hardware threads): per-superstep
 //     tokens/sec and links/sec plus speedup over the 1-thread run;
-//   - the delta-table scatter vs the legacy shared-atomic mode at the
-//     maximum thread count (the contention + per-token-log A/B);
-//   - the PR 4 serial sampler on the same data, so the parallel numbers are
+//   - the serial sampler on the same data, so the parallel numbers are
 //     anchored to the single-core baseline.
 //
 // Results land as JSON in --out (default BENCH_parallel.json) so runs can
@@ -114,12 +112,12 @@ serve::Json RunScale(const Scale& scale) {
                               : 0.0;
   };
 
-  // --- strong-scaling thread series (delta-table mode) ---
+  // --- strong-scaling thread series ---
   const int hw_threads = HardwareThreads();
   const int max_threads = BenchThreads();
   serve::Json thread_series = serve::Json::MakeArray();
   std::vector<double> tokens_per_sec_series;
-  double delta_max_threads_tps = 0.0;
+  double max_threads_tps = 0.0;
   for (int threads = 1; threads <= max_threads; ++threads) {
     engine::EngineOptions options;
     options.threads_per_node = threads;
@@ -128,7 +126,7 @@ serve::Json RunScale(const Scale& scale) {
     double tps = rate(min_seconds, tokens);
     double lps = rate(min_seconds, links);
     tokens_per_sec_series.push_back(tps);
-    delta_max_threads_tps = tps;
+    max_threads_tps = tps;
     serve::Json point = serve::Json::MakeObject();
     point.Set("threads", static_cast<double>(threads));
     point.Set("tokens_per_sec", tps);
@@ -144,51 +142,7 @@ serve::Json RunScale(const Scale& scale) {
   out.Set("threads", thread_series);
   bench::PrintSeries("tokens/sec", tokens_per_sec_series, "%.0f");
 
-  // --- delta vs legacy shared-atomic A/B at max threads ---
-  // The two trainers alternate superstep-by-superstep so host-wide speed
-  // shifts (shared machine) hit both modes equally; min-of-steps then
-  // filters preemption outliers from each.
-  {
-    engine::EngineOptions delta_options;
-    delta_options.threads_per_node = max_threads;
-    delta_options.oversubscribe = max_threads > hw_threads;
-    engine::EngineOptions legacy_options = delta_options;
-    legacy_options.legacy_shared_counters = true;
-    core::ParallelColdTrainer delta_trainer(config, ds.posts,
-                                            &ds.interactions, delta_options);
-    core::ParallelColdTrainer legacy_trainer(config, ds.posts,
-                                             &ds.interactions,
-                                             legacy_options);
-    auto st = delta_trainer.Init();
-    if (st.ok()) st = legacy_trainer.Init();
-    if (!st.ok()) {
-      std::fprintf(stderr, "A/B init failed: %s\n", st.ToString().c_str());
-      std::exit(1);
-    }
-    double delta_min = 0.0;
-    double legacy_min = 0.0;
-    const int reps = std::max(scale.supersteps, 8);
-    for (int rep = 0; rep < reps; ++rep) {
-      Stopwatch delta_watch;
-      delta_trainer.RunSuperstep();
-      double delta_step = delta_watch.ElapsedSeconds();
-      Stopwatch legacy_watch;
-      legacy_trainer.RunSuperstep();
-      double legacy_step = legacy_watch.ElapsedSeconds();
-      if (rep == 0 || delta_step < delta_min) delta_min = delta_step;
-      if (rep == 0 || legacy_step < legacy_min) legacy_min = legacy_step;
-    }
-    double delta_tps = rate(delta_min, tokens);
-    double legacy_tps = rate(legacy_min, tokens);
-    out.Set("delta_tokens_per_sec", delta_tps);
-    out.Set("legacy_tokens_per_sec", legacy_tps);
-    double speedup_vs_legacy = legacy_tps > 0.0 ? delta_tps / legacy_tps : 0.0;
-    out.Set("speedup_vs_legacy", speedup_vs_legacy);
-    std::printf("delta %.0f vs legacy %.0f tokens/sec (%.2fx)\n", delta_tps,
-                legacy_tps, speedup_vs_legacy);
-  }
-
-  // --- PR 4 serial sampler anchor ---
+  // --- serial sampler anchor ---
   {
     core::ColdGibbsSampler serial(config, ds.posts, &ds.interactions);
     auto st = serial.Init();
@@ -206,7 +160,7 @@ serve::Json RunScale(const Scale& scale) {
     double serial_tps = rate(min_sweep, tokens);
     out.Set("serial_tokens_per_sec", serial_tps);
     out.Set("speedup_vs_serial",
-            serial_tps > 0.0 ? delta_max_threads_tps / serial_tps : 0.0);
+            serial_tps > 0.0 ? max_threads_tps / serial_tps : 0.0);
     std::printf("serial sampler %.0f tokens/sec\n", serial_tps);
   }
   return out;
@@ -241,15 +195,11 @@ bool ValidateJson(const std::string& path) {
         return false;
       }
     }
-    for (const char* key :
-         {"delta_tokens_per_sec", "legacy_tokens_per_sec",
-          "serial_tokens_per_sec", "speedup_vs_legacy"}) {
-      const serve::Json* value = scale.Find(key);
-      if (value == nullptr || !value->is_number() ||
-          !(value->as_number() > 0.0)) {
-        std::fprintf(stderr, "smoke: %s not > 0\n", key);
-        return false;
-      }
+    const serve::Json* serial = scale.Find("serial_tokens_per_sec");
+    if (serial == nullptr || !serial->is_number() ||
+        !(serial->as_number() > 0.0)) {
+      std::fprintf(stderr, "smoke: serial_tokens_per_sec not > 0\n");
+      return false;
     }
   }
   return true;

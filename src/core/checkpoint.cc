@@ -517,10 +517,10 @@ cold::Status ColdGibbsSampler::RestoreState(const std::string& payload) {
 
 // --- parallel trainer state -----------------------------------------------
 //
-// Same run header and state section (via a plain ColdState snapshot), plus
-// the per-worker RNG streams of the GAS engine. Restore refuses a
-// worker-count mismatch: each worker owns a deterministic PCG32 stream, so
-// resuming with a different pool size cannot continue the same sequence.
+// Payload: run header, completed-superstep count, state section. Scatter
+// draws from RNG streams keyed by (superstep, chunk), so the superstep count
+// is all the RNG state there is, and a resumed run is bit-identical at any
+// worker count.
 
 cold::Status ParallelColdTrainer::SerializeState(std::string* out) const {
   if (!initialized_) {
@@ -529,13 +529,9 @@ cold::Status ParallelColdTrainer::SerializeState(std::string* out) const {
   }
   out->clear();
   PayloadWriter w(out);
-  const ColdState snapshot = state_->ToColdState();
-  WriteRunHeader(w, config_, snapshot, use_network_, lambda0_);
+  WriteRunHeader(w, config_, *state_, use_network_, lambda0_);
   w.I32(supersteps_run_);
-  WriteStateSection(w, snapshot);
-  const std::vector<cold::RngState> workers = EngineSamplerStates();
-  w.U32(static_cast<uint32_t>(workers.size()));
-  for (const cold::RngState& s : workers) WriteRngState(w, s);
+  WriteStateSection(w, *state_);
   return cold::Status::OK();
 }
 
@@ -545,36 +541,28 @@ cold::Status ParallelColdTrainer::RestoreState(const std::string& payload) {
         "call Init() before RestoreState()");
   }
   PayloadReader r(payload);
-  // Template snapshot supplies the expected dimensions; the restored
-  // assignments and counters are installed into it, validated, and only
-  // then swapped into the shared atomic state.
-  ColdState snapshot = state_->ToColdState();
+  // The restored assignments and counters are read into a copy of the
+  // current state (which supplies the expected dimensions), validated, and
+  // only then installed.
+  ColdState restored = *state_;
   double lambda0 = lambda0_;
   COLD_RETURN_NOT_OK(
-      CheckRunHeader(r, config_, snapshot, use_network_, &lambda0));
+      CheckRunHeader(r, config_, restored, use_network_, &lambda0));
   int32_t supersteps_run = 0;
   COLD_RETURN_NOT_OK(r.I32(&supersteps_run));
   if (supersteps_run < 0 || supersteps_run > config_.iterations) {
     return cold::Status::IOError("checkpoint sweep index out of range");
   }
-  COLD_RETURN_NOT_OK(ReadStateSection(r, &snapshot));
-  uint32_t num_workers = 0;
-  COLD_RETURN_NOT_OK(r.U32(&num_workers));
-  if (num_workers == 0 || num_workers > (1u << 20)) {
-    return cold::Status::IOError("checkpoint worker count implausible");
-  }
-  std::vector<cold::RngState> workers(num_workers);
-  for (cold::RngState& s : workers) COLD_RETURN_NOT_OK(ReadRngState(r, &s));
+  COLD_RETURN_NOT_OK(ReadStateSection(r, &restored));
   COLD_RETURN_NOT_OK(r.ExpectEnd());
 
   cold::Status invariants =
-      snapshot.CheckInvariants(posts_, links_, use_network_);
+      restored.CheckInvariants(posts_, links_, use_network_);
   if (!invariants.ok()) {
     return cold::Status::IOError("checkpoint state inconsistent: " +
                                  invariants.message());
   }
-  COLD_RETURN_NOT_OK(EngineRestoreSamplerStates(workers));
-  COLD_RETURN_NOT_OK(state_->RestoreFrom(snapshot));
+  static_cast<ColdState&>(*state_) = std::move(restored);
   lambda0_ = lambda0;
   supersteps_run_ = supersteps_run;
   // Scatter draws are keyed by (superstep, chunk); realign the engine's

@@ -33,10 +33,14 @@
 
 namespace cold::core {
 
-inline constexpr uint32_t kCheckpointFormatVersion = 1;
+/// Bumped whenever a payload layout changes. Files of any other version are
+/// rejected, not converted: checkpoints are machine-local scratch, not an
+/// interchange format.
+inline constexpr uint32_t kCheckpointFormatVersion = 2;
 
 /// \brief Which trainer wrote the checkpoint; payloads are not
-/// interchangeable (the parallel flavor carries per-worker RNG streams).
+/// interchangeable (only the serial flavor carries an RNG state and a
+/// sample accumulator).
 enum class CheckpointFlavor : uint32_t { kSerial = 0, kParallel = 1 };
 
 /// \brief Parsed header of a checkpoint file.

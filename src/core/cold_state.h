@@ -18,7 +18,7 @@ namespace cold::core {
 ///
 /// Counter layout is row-major flat storage; accessors document the paper's
 /// notation. The same struct backs the serial and the parallel sampler (the
-/// latter reads/writes it through atomics over the same memory layout).
+/// latter extends it with per-worker delta tables; see parallel_state.h).
 class ColdState {
  public:
   /// Builds zeroed state with the given dimensions.
@@ -111,7 +111,8 @@ class ColdState {
 
   /// Mutable flat access for the checkpoint restore path (counter tables
   /// are installed wholesale from a validated payload, then cross-checked
-  /// against a recount via CheckInvariants).
+  /// against a recount via CheckInvariants) and for the parallel sampler's
+  /// delta merge (parallel_state.h).
   std::vector<int32_t>& mut_n_ic_flat() { return n_ic_; }
   std::vector<int32_t>& mut_n_i_flat() { return n_i_; }
   std::vector<int32_t>& mut_n_ck_flat() { return n_ck_; }

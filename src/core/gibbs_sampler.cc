@@ -307,7 +307,7 @@ void ColdGibbsSampler::AddPost(text::PostId d) {
   if (sparse_active_) alias_bank_.NoteCommunityUpdate(c);
 }
 
-void ColdGibbsSampler::SamplePostCommunity(text::PostId d) {
+void ColdGibbsSampler::SampleCommunity(text::PostId d) {
   const int C = config_.num_communities;
   const int K = config_.num_topics;
   const int T = posts_.num_time_slices();
@@ -422,7 +422,7 @@ void ColdGibbsSampler::FillTopicPriorWeights(int c, int t,
   }
 }
 
-void ColdGibbsSampler::SamplePostTopicSparse(text::PostId d) {
+void ColdGibbsSampler::SampleTopicSparse(text::PostId d) {
   const int c = state_->post_community[static_cast<size_t>(d)];
   const int t = posts_.time(d);
   if (alias_bank_.RowDirty(c, t)) {
@@ -435,9 +435,9 @@ void ColdGibbsSampler::SamplePostTopicSparse(text::PostId d) {
                   sampler_, [&](int k) { return TopicLogWeightOne(d, c, k); }));
 }
 
-void ColdGibbsSampler::SamplePostTopic(text::PostId d) {
+void ColdGibbsSampler::SampleTopic(text::PostId d) {
   if (sparse_active_) {
-    SamplePostTopicSparse(d);
+    SampleTopicSparse(d);
     return;
   }
   const int c = state_->post_community[static_cast<size_t>(d)];
@@ -448,8 +448,8 @@ void ColdGibbsSampler::SamplePostTopic(text::PostId d) {
 
 void ColdGibbsSampler::SamplePost(text::PostId d) {
   RemovePost(d);
-  SamplePostCommunity(d);
-  SamplePostTopic(d);
+  SampleCommunity(d);
+  SampleTopic(d);
   AddPost(d);
 }
 

@@ -113,9 +113,9 @@ class ColdGibbsSampler {
 
  private:
   void SamplePost(text::PostId d);
-  void SamplePostCommunity(text::PostId d);
-  void SamplePostTopic(text::PostId d);
-  void SamplePostTopicSparse(text::PostId d);
+  void SampleCommunity(text::PostId d);
+  void SampleTopic(text::PostId d);
+  void SampleTopicSparse(text::PostId d);
   /// Fills scratch with the Eq. (3) prior mass
   /// (n_ck+α)(n_ckt+ε)/(n_ck+Tε) for all k — the alias proposal weights.
   void FillTopicPriorWeights(int c, int t, std::vector<double>* weights);

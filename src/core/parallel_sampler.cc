@@ -10,6 +10,7 @@
 #include "obs/trace.h"
 #include "util/fault_injector.h"
 #include "util/math_util.h"
+#include "util/rng.h"
 #include "util/simd.h"
 #include "util/stopwatch.h"
 
@@ -20,9 +21,9 @@ constexpr size_t kMaxWorkers = 256;
 
 /// Per-superstep throughput telemetry for the parallel trainer, mirroring
 /// the serial sampler's cold/gibbs/* gauges. stale_clamp_total counts every
-/// negative-count clamp in the sampling kernels: nonzero only when the
-/// legacy shared-counter mode races (the delta-table mode reads frozen
-/// counts whose own-contribution exclusion is exact, so it stays at zero).
+/// negative-count clamp in the sampling kernels. The kernels read frozen
+/// counts whose own-contribution exclusion is exact, so it must read zero;
+/// anything else means the frozen-count contract was broken.
 struct ParallelMetrics {
   obs::Counter* supersteps;
   obs::Gauge* superstep_seconds;
@@ -52,15 +53,13 @@ class ColdVertexProgram {
 
   ColdVertexProgram(const ColdConfig& config, const text::PostStore& posts,
                     const graph::Digraph* links, ParallelColdState* state,
-                    const Graph* graph, bool use_network, double lambda0,
-                    bool legacy_shared_counters)
+                    const Graph* graph, bool use_network, double lambda0)
       : config_(config),
         posts_(posts),
         links_(links),
         state_(state),
         graph_(graph),
         use_network_(use_network),
-        legacy_(legacy_shared_counters),
         lambda0_(lambda0),
         // Derived prior constants hoisted once — the scatter kernels run per
         // token per superstep and should not re-resolve them.
@@ -70,7 +69,6 @@ class ColdVertexProgram {
         teps_(posts.num_time_slices() * config.epsilon),
         vbeta_(state->V() * config.beta),
         scratch_(kMaxWorkers) {
-    if (legacy_) return;
     const size_t C = static_cast<size_t>(config.num_communities);
     const size_t K = static_cast<size_t>(config.num_topics);
     const size_t T = static_cast<size_t>(posts.num_time_slices());
@@ -151,7 +149,7 @@ class ColdVertexProgram {
     if (vd.is_user) {
       for (int c = 0; c < C; ++c) {
         int32_t value = acc.empty() ? 0 : acc[static_cast<size_t>(c)];
-        state_->n_ic(vd.index, c).store(value, std::memory_order_relaxed);
+        state_->n_ic(vd.index, c) = value;
       }
     } else {
       const int K = config_.num_topics;
@@ -159,8 +157,7 @@ class ColdVertexProgram {
         for (int k = 0; k < K; ++k) {
           int32_t value =
               acc.empty() ? 0 : acc[static_cast<size_t>(c) * K + k];
-          state_->n_ckt(c, k, vd.index)
-              .store(value, std::memory_order_relaxed);
+          state_->n_ckt(c, k, vd.index) = value;
         }
       }
     }
@@ -170,17 +167,6 @@ class ColdVertexProgram {
   void Scatter(Graph* g, engine::EdgeId e, engine::WorkerContext* ctx) {
     ColdEdge& ed = g->edge_data(e);
     Scratch& scratch = GetScratch(ctx->worker_index);
-    if (legacy_) {
-      if (ed.type == ColdEdge::Type::kUserTime) {
-        for (text::PostId d : ed.posts) {
-          SamplePostCommunity(d, &scratch, ctx->sampler);
-          SamplePostTopic(d, &scratch, ctx->sampler);
-        }
-      } else if (use_network_) {
-        SampleLink(ed.link, &scratch, ctx->sampler);
-      }
-      return;
-    }
     int32_t* delta = state_->delta(ctx->worker_index);
     if (ed.type == ColdEdge::Type::kUserTime) {
       for (text::PostId d : ed.posts) {
@@ -191,12 +177,11 @@ class ColdVertexProgram {
     }
   }
 
-  /// Delta mode setup, run after apply under the superstep barrier: the
+  /// Scatter setup, run after apply under the superstep barrier: the
   /// canonical counters are final for this superstep, so rebuild the
   /// derived log/lgamma caches from them and make sure every pool worker
   /// has a delta buffer.
   void PreScatter(cold::ThreadPool* pool) {
-    if (legacy_) return;
     state_->EnsureDeltaBuffers(pool->num_threads());
     RebuildDerivedCaches(pool);
   }
@@ -212,7 +197,7 @@ class ColdVertexProgram {
       s.clamps = 0;
     }
     if (clamps > 0) Metrics().stale_clamps->Increment(clamps);
-    if (legacy_ || defer_merge_) return;
+    if (defer_merge_) return;
     COLD_TRACE_SPAN("parallel/merge");
     const size_t n = state_->delta_size();
     pool->ParallelFor(n, [this](size_t begin, size_t end, size_t) {
@@ -225,7 +210,7 @@ class ColdVertexProgram {
   /// \brief Distributed mode: leave scattered deltas in the per-worker
   /// buffers at the superstep boundary instead of merging them, so the
   /// trainer can drain them into the node's exchange payload
-  /// (RunSuperstepSharded). Delta mode only.
+  /// (RunSuperstepSharded).
   void set_defer_delta_merge(bool defer) { defer_merge_ = defer; }
 
   /// Work units: tokens plus per-post sampling cost for post edges; the
@@ -287,8 +272,8 @@ class ColdVertexProgram {
     const double epsilon = config_.epsilon;
     for (int c = 0; c < C; ++c) {
       for (int k = 0; k < K; ++k) {
-        const double n_ck = state_->r_n_ck(c, k);
-        const double n_c = state_->r_n_c(c);
+        const double n_ck = state_->n_ck(c, k);
+        const double n_c = state_->n_c(c);
         // Transposed [k*C + c]: the community kernel scans c for a fixed k.
         comm_factor_[static_cast<size_t>(k) * C + c] =
             (n_ck + alpha_) / ((n_c + kalpha_) * (n_ck + teps_));
@@ -298,7 +283,7 @@ class ColdVertexProgram {
         // fixed (c, t).
         for (int t = 0; t < T; ++t) {
           log_nckt_eps_[(static_cast<size_t>(c) * T + t) * K + k] =
-              std::log(state_->r_n_ckt(c, k, t) + epsilon);
+              std::log(state_->n_ckt(c, k, t) + epsilon);
         }
       }
     }
@@ -310,7 +295,7 @@ class ColdVertexProgram {
                         for (size_t v = begin; v < end; ++v) {
                           for (int k = 0; k < K; ++k) {
                             log_nkv_beta_[v * K + k] = std::log(
-                                state_->r_n_kv(k, static_cast<int>(v)) +
+                                state_->n_kv(k, static_cast<int>(v)) +
                                 config_.beta);
                           }
                         }
@@ -320,7 +305,7 @@ class ColdVertexProgram {
     // the whole table costs one log per cell. Makes the per-post length
     // term a contiguous K-row lookup for every topic except the post's own.
     for (int k = 0; k < K; ++k) {
-      const double base = state_->r_n_k(k) + vbeta_;
+      const double base = state_->n_k(k) + vbeta_;
       lgamma_nk_vbeta_[k] = cold::LGamma(base);
       double acc = 0.0;
       denom_[static_cast<size_t>(k)] = 0.0;
@@ -333,7 +318,7 @@ class ColdVertexProgram {
       const double lambda1 = config_.lambda1;
       for (int c = 0; c < C; ++c) {
         for (int c2 = 0; c2 < C; ++c2) {
-          const double n = state_->r_n_cc(c, c2);
+          const double n = state_->n_cc(c, c2);
           const double w = (n + lambda1) / (n + lambda0_ + lambda1);
           // Row-major for the s'|s scan (fixed src community s1), column-
           // major copy for the s|s' scan (fixed dst community s').
@@ -354,10 +339,10 @@ class ColdVertexProgram {
               const int c = static_cast<int>(r / static_cast<size_t>(T));
               const int t = static_cast<int>(r % static_cast<size_t>(T));
               for (int k = 0; k < K; ++k) {
-                const double nck = state_->r_n_ck(c, k);
+                const double nck = state_->n_ck(c, k);
                 wts[static_cast<size_t>(k)] =
                     (nck + alpha_) *
-                    (state_->r_n_ckt(c, k, t) + epsilon) / (nck + teps_);
+                    (state_->n_ckt(c, k, t) + epsilon) / (nck + teps_);
               }
               alias_bank_.RebuildRow(c, t, wts);
             }
@@ -365,145 +350,7 @@ class ColdVertexProgram {
     }
   }
 
-  // Eq. (1) with own-contribution exclusion against shared counters.
-  void SamplePostCommunity(text::PostId d, Scratch* scratch,
-                           cold::RandomSampler* sampler) {
-    const int C = config_.num_communities;
-    const double epsilon = config_.epsilon;
-    const int c0 = state_->post_community[static_cast<size_t>(d)];
-    const int k = state_->post_topic[static_cast<size_t>(d)];
-    const int t = posts_.time(d);
-    const text::UserId i = posts_.author(d);
-
-    for (int c = 0; c < C; ++c) {
-      int own = (c == c0) ? 1 : 0;
-      double n_ick = state_->r_n_ic(i, c) - own;
-      double n_ck = state_->r_n_ck(c, k) - own;
-      double n_c = state_->r_n_c(c) - own;
-      double n_ckt = state_->r_n_ckt(c, k, t) - own;
-      // Stale counts can transiently dip below zero; clamp (and count).
-      n_ick = ClampNonNeg(n_ick, scratch);
-      n_ck = ClampNonNeg(n_ck, scratch);
-      n_c = ClampNonNeg(n_c, scratch);
-      n_ckt = ClampNonNeg(n_ckt, scratch);
-      scratch->weights_c[static_cast<size_t>(c)] =
-          (n_ick + rho_) * ((n_ck + alpha_) / (n_c + kalpha_)) *
-          ((n_ckt + epsilon) / (n_ck + teps_));
-    }
-    int c1 = sampler->Categorical(scratch->weights_c);
-    if (c1 != c0) {
-      state_->post_community[static_cast<size_t>(d)] =
-          static_cast<int32_t>(c1);
-      state_->n_ic(i, c0).fetch_sub(1, std::memory_order_relaxed);
-      state_->n_ic(i, c1).fetch_add(1, std::memory_order_relaxed);
-      state_->n_ck(c0, k).fetch_sub(1, std::memory_order_relaxed);
-      state_->n_ck(c1, k).fetch_add(1, std::memory_order_relaxed);
-      state_->n_c(c0).fetch_sub(1, std::memory_order_relaxed);
-      state_->n_c(c1).fetch_add(1, std::memory_order_relaxed);
-      state_->n_ckt(c0, k, t).fetch_sub(1, std::memory_order_relaxed);
-      state_->n_ckt(c1, k, t).fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-
-  // Eq. (3) with own-contribution exclusion.
-  void SamplePostTopic(text::PostId d, Scratch* scratch,
-                       cold::RandomSampler* sampler) {
-    const int K = config_.num_topics;
-    const double beta = config_.beta;
-    const double epsilon = config_.epsilon;
-    const int c = state_->post_community[static_cast<size_t>(d)];
-    const int k0 = state_->post_topic[static_cast<size_t>(d)];
-    const int t = posts_.time(d);
-    const int len = posts_.length(d);
-
-    const auto word_pairs = posts_.word_pairs(d);
-
-    // Same lgamma-collapsed form as the serial TopicLogWeights; here the
-    // counters are shared atomics so the log terms are computed live, but
-    // the ascending-factorial loops still collapse to lgamma pairs.
-    for (int k = 0; k < K; ++k) {
-      int own = (k == k0) ? 1 : 0;
-      double n_ck = ClampNonNeg(state_->r_n_ck(c, k) - own, scratch);
-      double n_ckt = ClampNonNeg(state_->r_n_ckt(c, k, t) - own, scratch);
-      double lw = std::log(n_ck + alpha_) +
-                  std::log((n_ckt + epsilon) / (n_ck + teps_));
-      for (const auto& [w, cnt] : word_pairs) {
-        double base =
-            ClampNonNeg(state_->r_n_kv(k, w) - own * cnt, scratch) + beta;
-        lw += cold::LogAscendingFactorial(base, cnt);
-      }
-      double denom =
-          ClampNonNeg(state_->r_n_k(k) - own * len, scratch) + vbeta_;
-      lw -= cold::LogAscendingFactorial(denom, len);
-      scratch->log_weights_k[static_cast<size_t>(k)] = lw;
-    }
-    int k1 = sampler->LogCategorical(scratch->log_weights_k);
-    if (k1 != k0) {
-      state_->post_topic[static_cast<size_t>(d)] = static_cast<int32_t>(k1);
-      state_->n_ck(c, k0).fetch_sub(1, std::memory_order_relaxed);
-      state_->n_ck(c, k1).fetch_add(1, std::memory_order_relaxed);
-      state_->n_ckt(c, k0, t).fetch_sub(1, std::memory_order_relaxed);
-      state_->n_ckt(c, k1, t).fetch_add(1, std::memory_order_relaxed);
-      for (text::WordId w : posts_.words(d)) {
-        state_->n_kv(k0, w).fetch_sub(1, std::memory_order_relaxed);
-        state_->n_kv(k1, w).fetch_add(1, std::memory_order_relaxed);
-      }
-      state_->n_k(k0).fetch_sub(len, std::memory_order_relaxed);
-      state_->n_k(k1).fetch_add(len, std::memory_order_relaxed);
-    }
-  }
-
-  // Eq. (2), alternating conditionals (cheap and race-tolerant).
-  void SampleLink(graph::EdgeId link, Scratch* scratch,
-                  cold::RandomSampler* sampler) {
-    const int C = config_.num_communities;
-    const double lambda1 = config_.lambda1;
-    const graph::Edge& edge = links_->edge(link);
-    const int s0 = state_->link_src_community[static_cast<size_t>(link)];
-    const int s20 = state_->link_dst_community[static_cast<size_t>(link)];
-
-    // s | s'.
-    for (int cc = 0; cc < C; ++cc) {
-      int own = (cc == s0) ? 1 : 0;
-      double n_ic =
-          ClampNonNeg(state_->r_n_ic(edge.src, cc) - own, scratch);
-      double n = ClampNonNeg(state_->r_n_cc(cc, s20) - own, scratch);
-      scratch->weights_c[static_cast<size_t>(cc)] =
-          (n_ic + rho_) * (n + lambda1) / (n + lambda0_ + lambda1);
-    }
-    int s1 = sampler->Categorical(scratch->weights_c);
-
-    // s' | s (own contribution now sits at (s1, s20) only if s1 == s0).
-    for (int cc = 0; cc < C; ++cc) {
-      int own = (cc == s20) ? 1 : 0;
-      double n_ic =
-          ClampNonNeg(state_->r_n_ic(edge.dst, cc) - own, scratch);
-      int own_pair = (s1 == s0 && cc == s20) ? 1 : 0;
-      double n = ClampNonNeg(state_->r_n_cc(s1, cc) - own_pair, scratch);
-      scratch->weights_c[static_cast<size_t>(cc)] =
-          (n_ic + rho_) * (n + lambda1) / (n + lambda0_ + lambda1);
-    }
-    int s21 = sampler->Categorical(scratch->weights_c);
-
-    if (s1 != s0) {
-      state_->link_src_community[static_cast<size_t>(link)] =
-          static_cast<int32_t>(s1);
-      state_->n_ic(edge.src, s0).fetch_sub(1, std::memory_order_relaxed);
-      state_->n_ic(edge.src, s1).fetch_add(1, std::memory_order_relaxed);
-    }
-    if (s21 != s20) {
-      state_->link_dst_community[static_cast<size_t>(link)] =
-          static_cast<int32_t>(s21);
-      state_->n_ic(edge.dst, s20).fetch_sub(1, std::memory_order_relaxed);
-      state_->n_ic(edge.dst, s21).fetch_add(1, std::memory_order_relaxed);
-    }
-    if (s1 != s0 || s21 != s20) {
-      state_->n_cc(s0, s20).fetch_sub(1, std::memory_order_relaxed);
-      state_->n_cc(s1, s21).fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-
-  // Eqs. (1)+(3) in delta mode. The canonical counters are frozen at their
+  // Eqs. (1)+(3). The canonical counters are frozen at their
   // pre-superstep values, so this post's own contribution sits exactly at
   // its frozen assignment (c0, k0): exclusion is exact (no clamps can fire)
   // and every term not involving (c0, k0) comes from the per-superstep
@@ -525,16 +372,16 @@ class ColdVertexProgram {
     const double* comm_row = &comm_factor_[static_cast<size_t>(k0) * C];
     for (int c = 0; c < C; ++c) {
       scratch->weights_c[static_cast<size_t>(c)] =
-          (state_->r_n_ic(i, c) + rho_) * comm_row[c] *
-          (state_->r_n_ckt(c, k0, t) + epsilon);
+          (state_->n_ic(i, c) + rho_) * comm_row[c] *
+          (state_->n_ckt(c, k0, t) + epsilon);
     }
     {
       // Own-contribution fixup at c0; frozen counts make the exclusion
       // exact.
-      double n_ick = ClampNonNeg(state_->r_n_ic(i, c0) - 1, scratch);
-      double n_ck = ClampNonNeg(state_->r_n_ck(c0, k0) - 1, scratch);
-      double n_c = ClampNonNeg(state_->r_n_c(c0) - 1, scratch);
-      double n_ckt = ClampNonNeg(state_->r_n_ckt(c0, k0, t) - 1, scratch);
+      double n_ick = ClampNonNeg(state_->n_ic(i, c0) - 1, scratch);
+      double n_ck = ClampNonNeg(state_->n_ck(c0, k0) - 1, scratch);
+      double n_c = ClampNonNeg(state_->n_c(c0) - 1, scratch);
+      double n_ckt = ClampNonNeg(state_->n_ckt(c0, k0, t) - 1, scratch);
       scratch->weights_c[static_cast<size_t>(c0)] =
           (n_ick + rho_) * ((n_ck + alpha_) / (n_c + kalpha_)) *
           ((n_ckt + epsilon) / (n_ck + teps_));
@@ -563,8 +410,8 @@ class ColdVertexProgram {
     auto eval_own = [&]() -> double {
       double own;
       if (c1 == c0) {
-        double n_ck = ClampNonNeg(state_->r_n_ck(c1, k0) - 1, scratch);
-        double n_ckt = ClampNonNeg(state_->r_n_ckt(c1, k0, t) - 1, scratch);
+        double n_ck = ClampNonNeg(state_->n_ck(c1, k0) - 1, scratch);
+        double n_ckt = ClampNonNeg(state_->n_ckt(c1, k0, t) - 1, scratch);
         own = std::log(n_ck + alpha_) +
               std::log((n_ckt + epsilon) / (n_ck + teps_));
       } else {
@@ -573,12 +420,12 @@ class ColdVertexProgram {
       }
       for (const auto& [w, cnt] : word_pairs) {
         double base =
-            ClampNonNeg(state_->r_n_kv(k0, w) - cnt, scratch) + beta;
+            ClampNonNeg(state_->n_kv(k0, w) - cnt, scratch) + beta;
         own += cold::LogAscendingFactorial(base, cnt);
       }
       if (sparse_) {
         // Own-excluded denominator via two lgamma-table reads.
-        int64_t nk = state_->r_n_k(k0) - len;
+        int64_t nk = state_->n_k(k0) - len;
         if (nk < 0) {
           scratch->clamps++;
           nk = 0;
@@ -587,7 +434,7 @@ class ColdVertexProgram {
       } else {
         // Denominator with own words removed: lgamma(n_k + Vbeta) is
         // cached, leaving a single live lgamma per post.
-        double base = ClampNonNeg(state_->r_n_k(k0) - len, scratch) + vbeta_;
+        double base = ClampNonNeg(state_->n_k(k0) - len, scratch) + vbeta_;
         own -=
             lgamma_nk_vbeta_[static_cast<size_t>(k0)] - cold::LGamma(base);
       }
@@ -608,7 +455,7 @@ class ColdVertexProgram {
           if (cnt == 1) {
             v += log_nkv_beta_[static_cast<size_t>(w) * K + k];
           } else {
-            v += cold::LogAscendingFactorial(state_->r_n_kv(k, w) + beta,
+            v += cold::LogAscendingFactorial(state_->n_kv(k, w) + beta,
                                              cnt);
           }
         }
@@ -632,7 +479,7 @@ class ColdVertexProgram {
                            nk);
         } else {
           for (int k = 0; k < K; ++k) {
-            lw[k] += cold::LogAscendingFactorial(state_->r_n_kv(k, w) + beta,
+            lw[k] += cold::LogAscendingFactorial(state_->n_kv(k, w) + beta,
                                                  cnt);
           }
         }
@@ -657,8 +504,8 @@ class ColdVertexProgram {
     }
   }
 
-  // Eq. (2) in delta mode: same alternating conditionals as SampleLink, but
-  // against frozen counts (exact own-exclusion) with the link weight ratio
+  // Eq. (2) as alternating conditionals s | s' then s' | s, against frozen
+  // counts (exact own-exclusion) with the link weight ratio
   // (n_cc + l1) / (n_cc + l0 + l1) cached per community pair.
   void SampleLinkDelta(graph::EdgeId link, int32_t* delta, Scratch* scratch,
                        cold::RandomSampler* sampler) {
@@ -673,11 +520,11 @@ class ColdVertexProgram {
     const double* w_in = &w_link_in_[static_cast<size_t>(s20) * C];
     for (int cc = 0; cc < C; ++cc) {
       scratch->weights_c[static_cast<size_t>(cc)] =
-          (state_->r_n_ic(edge.src, cc) + rho_) * w_in[cc];
+          (state_->n_ic(edge.src, cc) + rho_) * w_in[cc];
     }
     {
-      double n_ic = ClampNonNeg(state_->r_n_ic(edge.src, s0) - 1, scratch);
-      double n = ClampNonNeg(state_->r_n_cc(s0, s20) - 1, scratch);
+      double n_ic = ClampNonNeg(state_->n_ic(edge.src, s0) - 1, scratch);
+      double n = ClampNonNeg(state_->n_cc(s0, s20) - 1, scratch);
       scratch->weights_c[static_cast<size_t>(s0)] =
           (n_ic + rho_) * (n + lambda1) / (n + lambda0_ + lambda1);
     }
@@ -688,12 +535,12 @@ class ColdVertexProgram {
     const double* w_out = &w_link_[static_cast<size_t>(s1) * C];
     for (int cc = 0; cc < C; ++cc) {
       scratch->weights_c[static_cast<size_t>(cc)] =
-          (state_->r_n_ic(edge.dst, cc) + rho_) * w_out[cc];
+          (state_->n_ic(edge.dst, cc) + rho_) * w_out[cc];
     }
     {
-      double n_ic = ClampNonNeg(state_->r_n_ic(edge.dst, s20) - 1, scratch);
+      double n_ic = ClampNonNeg(state_->n_ic(edge.dst, s20) - 1, scratch);
       double n = ClampNonNeg(
-          state_->r_n_cc(s1, s20) - (s1 == s0 ? 1 : 0), scratch);
+          state_->n_cc(s1, s20) - (s1 == s0 ? 1 : 0), scratch);
       scratch->weights_c[static_cast<size_t>(s20)] =
           (n_ic + rho_) * (n + lambda1) / (n + lambda0_ + lambda1);
     }
@@ -723,7 +570,6 @@ class ColdVertexProgram {
   ParallelColdState* state_;
   const Graph* graph_;
   bool use_network_;
-  bool legacy_;    // legacy shared-atomic mode (A/B baseline)
   bool defer_merge_ = false;  // distributed mode: skip the boundary merge
   double lambda0_;
   double rho_;     // resolved membership prior
@@ -733,7 +579,7 @@ class ColdVertexProgram {
   double vbeta_;   // V * beta
   std::vector<Scratch> scratch_;
 
-  // Delta-mode derived caches, rebuilt once per superstep from the frozen
+  // Derived caches, rebuilt once per superstep from the frozen
   // canonical counters (RebuildDerivedCaches). Layouts are transposed to
   // put the kernel's scan dimension innermost (see the rebuild comments).
   int max_post_len_ = 0;
@@ -748,7 +594,7 @@ class ColdVertexProgram {
 
   // Sparse topic path (sparse_topic_kernel.h): per-(c, t) alias proposals
   // rebuilt every superstep from the frozen counters, and the lgamma table
-  // the own-excluded length term reads. Delta mode only.
+  // the own-excluded length term reads.
   bool sparse_ = false;
   int sparse_mh_steps_ = 2;
   TopicAliasBank alias_bank_;
@@ -851,15 +697,13 @@ cold::Status ParallelColdTrainer::Init() {
     state_->post_community[static_cast<size_t>(d)] = c;
     state_->post_topic[static_cast<size_t>(d)] = k;
     text::UserId i = posts_.author(d);
-    state_->n_ic(i, c).fetch_add(1, std::memory_order_relaxed);
-    state_->n_i(i).fetch_add(1, std::memory_order_relaxed);
-    state_->n_ck(c, k).fetch_add(1, std::memory_order_relaxed);
-    state_->n_c(c).fetch_add(1, std::memory_order_relaxed);
-    state_->n_ckt(c, k, posts_.time(d)).fetch_add(1, std::memory_order_relaxed);
-    for (text::WordId w : posts_.words(d)) {
-      state_->n_kv(k, w).fetch_add(1, std::memory_order_relaxed);
-    }
-    state_->n_k(k).fetch_add(posts_.length(d), std::memory_order_relaxed);
+    state_->n_ic(i, c)++;
+    state_->n_i(i)++;
+    state_->n_ck(c, k)++;
+    state_->n_c(c)++;
+    state_->n_ckt(c, k, posts_.time(d))++;
+    for (text::WordId w : posts_.words(d)) state_->n_kv(k, w)++;
+    state_->n_k(k) += posts_.length(d);
   }
   if (use_network_) {
     for (graph::EdgeId e = 0; e < links_->num_edges(); ++e) {
@@ -870,17 +714,17 @@ cold::Status ParallelColdTrainer::Init() {
       state_->link_src_community[static_cast<size_t>(e)] = s;
       state_->link_dst_community[static_cast<size_t>(e)] = s2;
       const graph::Edge& edge = links_->edge(e);
-      state_->n_ic(edge.src, s).fetch_add(1, std::memory_order_relaxed);
-      state_->n_i(edge.src).fetch_add(1, std::memory_order_relaxed);
-      state_->n_ic(edge.dst, s2).fetch_add(1, std::memory_order_relaxed);
-      state_->n_i(edge.dst).fetch_add(1, std::memory_order_relaxed);
-      state_->n_cc(s, s2).fetch_add(1, std::memory_order_relaxed);
+      state_->n_ic(edge.src, s)++;
+      state_->n_i(edge.src)++;
+      state_->n_ic(edge.dst, s2)++;
+      state_->n_i(edge.dst)++;
+      state_->n_cc(s, s2)++;
     }
   }
 
   program_ = std::make_unique<ColdVertexProgram>(
       config_, posts_, links_, state_.get(), graph_.get(), use_network_,
-      lambda0_, engine_options_.legacy_shared_counters);
+      lambda0_);
   engine_ = std::make_unique<
       engine::GasEngine<ColdVertex, ColdEdge, ColdVertexProgram>>(
       graph_.get(), program_.get(), engine_options_);
@@ -897,8 +741,8 @@ cold::Status ParallelColdTrainer::Train() {
   for (text::PostId d = 0; d < posts_.num_posts(); ++d) {
     total_tokens += posts_.length(d);
   }
-  // One engine iteration at a time (respecting the execution mode) so the
-  // per-superstep observer sees every boundary. Resume-aware: a trainer
+  // One superstep at a time so the per-superstep observer sees every
+  // boundary. Resume-aware: a trainer
   // restored from a checkpoint runs only the remaining supersteps.
   while (supersteps_run_ < config_.iterations) {
     double superstep_seconds = 0.0;
@@ -982,11 +826,6 @@ cold::Status ParallelColdTrainer::RunSuperstepSharded(
     return cold::Status::FailedPrecondition(
         "call Init() before RunSuperstepSharded()");
   }
-  if (engine_options_.legacy_shared_counters) {
-    return cold::Status::FailedPrecondition(
-        "distributed execution requires the delta-table mode "
-        "(legacy_shared_counters must be off)");
-  }
   if (static_cast<int64_t>(chunk_mask.size()) != NumScatterChunks()) {
     return cold::Status::InvalidArgument(
         "chunk mask covers " + std::to_string(chunk_mask.size()) +
@@ -1055,27 +894,15 @@ cold::Status ParallelColdTrainer::ApplyGlobalUpdate(
   return cold::Status::OK();
 }
 
-std::vector<cold::RngState> ParallelColdTrainer::EngineSamplerStates() const {
-  return engine_->SamplerStates();
-}
-
-cold::Status ParallelColdTrainer::EngineRestoreSamplerStates(
-    const std::vector<cold::RngState>& states) {
-  return engine_->RestoreSamplerStates(states);
-}
-
 void ParallelColdTrainer::EngineSetSuperstepIndex(int64_t index) {
   engine_->set_superstep_index(index);
 }
 
 ColdEstimates ParallelColdTrainer::Estimates() const {
-  ColdState snapshot = state_->ToColdState();
-  return ExtractEstimates(snapshot, config_, lambda0_);
+  return ExtractEstimates(*state_, config_, lambda0_);
 }
 
-ColdState ParallelColdTrainer::StateSnapshot() const {
-  return state_->ToColdState();
-}
+ColdState ParallelColdTrainer::StateSnapshot() const { return *state_; }
 
 const engine::EngineStats& ParallelColdTrainer::engine_stats() const {
   static const engine::EngineStats kEmpty;

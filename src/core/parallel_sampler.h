@@ -10,15 +10,12 @@
 // phases each superstep; the low-dimensional global counters (n_ck, n_kv,
 // n_k, n_cc) are shared aggregates synchronized at superstep boundaries.
 //
-// Scatter draws new assignments with Eqs. (1)-(3). In the default
-// delta-table mode the canonical counters stay frozen for the whole phase:
-// each worker reads them contention-free, records its +/- updates in a
-// private delta buffer, and the buffers are merged at the superstep
-// boundary — deterministic for a fixed seed regardless of worker count, and
-// free of the fetch_add hot spot. Derived log/lgamma caches are rebuilt
-// once per superstep from the stable counts (DESIGN.md §10). The legacy
-// shared-atomic mode (live counts, per-token logs) remains selectable via
-// EngineOptions::legacy_shared_counters for A/B benchmarking.
+// Scatter draws new assignments with Eqs. (1)-(3). The canonical counters
+// stay frozen for the whole phase: each worker reads them contention-free,
+// records its +/- updates in a private delta buffer, and the buffers are
+// merged at the superstep boundary — deterministic for a fixed seed
+// regardless of worker count. Derived log/lgamma caches are rebuilt once per
+// superstep from the stable counts (DESIGN.md §10).
 #pragma once
 
 #include <array>
@@ -34,7 +31,6 @@
 #include "engine/gas_engine.h"
 #include "graph/digraph.h"
 #include "text/post_store.h"
-#include "util/rng.h"
 #include "util/status.h"
 
 namespace cold::core {
@@ -87,17 +83,16 @@ class ParallelColdTrainer {
   /// where the checkpoint left off.
   cold::Status Train();
 
-  /// \brief Serializes the complete trainer state — shared counters,
-  /// assignments, superstep index, and every worker's RNG stream — for the
-  /// checkpoint layer (checkpoint.h). Defined in checkpoint.cc.
+  /// \brief Serializes the complete trainer state — counters, assignments
+  /// and superstep index — for the checkpoint layer (checkpoint.h). Defined
+  /// in checkpoint.cc.
   cold::Status SerializeState(std::string* out) const;
 
   /// \brief Restores state captured by SerializeState(). Requires the same
-  /// dataset, seed, schedule and worker count (the v1 payload serializes
-  /// per-worker RNG streams; scatter draws are keyed by superstep and
-  /// chunk, so resumed runs are bit-identical at any worker count that
-  /// matches the checkpoint); validated before anything takes effect.
-  /// Defined in checkpoint.cc.
+  /// dataset, seed and schedule, but not the same worker count: scatter
+  /// draws are keyed by superstep and chunk, so a resumed run is
+  /// bit-identical at any worker count. Validated before anything takes
+  /// effect. Defined in checkpoint.cc.
   cold::Status RestoreState(const std::string& payload);
 
   /// 1-based count of completed supersteps.
@@ -139,7 +134,6 @@ class ParallelColdTrainer {
   /// byte (mask size must equal NumScatterChunks()), leaving the canonical
   /// counters untouched, and fills `out` with this node's sparse update.
   /// Does not advance supersteps_run(); pair with ApplyGlobalUpdate.
-  /// Requires delta-table mode (rejects legacy_shared_counters).
   cold::Status RunSuperstepSharded(const std::vector<uint8_t>& chunk_mask,
                                    SuperstepUpdate* out);
 
@@ -164,9 +158,6 @@ class ParallelColdTrainer {
   // Engine access for checkpoint.cc (which cannot instantiate the engine
   // template against the incomplete ColdVertexProgram); defined in
   // parallel_sampler.cc.
-  std::vector<cold::RngState> EngineSamplerStates() const;
-  cold::Status EngineRestoreSamplerStates(
-      const std::vector<cold::RngState>& states);
   void EngineSetSuperstepIndex(int64_t index);
 
   ColdConfig config_;

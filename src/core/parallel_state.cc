@@ -1,93 +1,47 @@
 #include "core/parallel_state.h"
 
-#include <cstring>
 #include <string>
 
 namespace cold::core {
-
-namespace {
-std::unique_ptr<std::atomic<int32_t>[]> MakeZeroed(size_t n) {
-  auto arr = std::make_unique<std::atomic<int32_t>[]>(n);
-  for (size_t i = 0; i < n; ++i) {
-    arr[i].store(0, std::memory_order_relaxed);
-  }
-  return arr;
-}
-
-std::unique_ptr<PaddedCount[]> MakeZeroedPadded(size_t n) {
-  auto arr = std::make_unique<PaddedCount[]>(n);
-  for (size_t i = 0; i < n; ++i) {
-    arr[i].value.store(0, std::memory_order_relaxed);
-  }
-  return arr;
-}
-}  // namespace
 
 ParallelColdState::ParallelColdState(int num_users, int num_communities,
                                      int num_topics, int num_time_slices,
                                      int vocab_size, int num_posts,
                                      int64_t num_links)
-    : num_users_(num_users),
-      num_communities_(num_communities),
-      num_topics_(num_topics),
-      num_time_slices_(num_time_slices),
-      vocab_size_(vocab_size) {
-  post_community.assign(static_cast<size_t>(num_posts), -1);
-  post_topic.assign(static_cast<size_t>(num_posts), -1);
-  link_src_community.assign(static_cast<size_t>(num_links), -1);
-  link_dst_community.assign(static_cast<size_t>(num_links), -1);
-
-  n_ic_ = MakeZeroed(static_cast<size_t>(num_users) * num_communities);
-  n_i_ = MakeZeroed(static_cast<size_t>(num_users));
-  n_ck_ = MakeZeroed(static_cast<size_t>(num_communities) * num_topics);
-  n_c_ = MakeZeroedPadded(static_cast<size_t>(num_communities));
-  n_ckt_ = MakeZeroed(static_cast<size_t>(num_communities) * num_topics *
-                      num_time_slices);
-  n_kv_ = MakeZeroed(static_cast<size_t>(num_topics) * vocab_size);
-  n_k_ = MakeZeroedPadded(static_cast<size_t>(num_topics));
-  n_cc_ = MakeZeroed(static_cast<size_t>(num_communities) * num_communities);
-
+    : ColdState(num_users, num_communities, num_topics, num_time_slices,
+                vocab_size, num_posts, num_links) {
   off_ic_ = 0;
-  off_ck_ = off_ic_ + static_cast<size_t>(num_users) * num_communities;
-  off_c_ = off_ck_ + static_cast<size_t>(num_communities) * num_topics;
-  off_ckt_ = off_c_ + static_cast<size_t>(num_communities);
-  off_kv_ = off_ckt_ + static_cast<size_t>(num_communities) * num_topics *
-                           num_time_slices;
-  off_k_ = off_kv_ + static_cast<size_t>(num_topics) * vocab_size;
-  off_cc_ = off_k_ + static_cast<size_t>(num_topics);
-  delta_size_ =
-      off_cc_ + static_cast<size_t>(num_communities) * num_communities;
+  off_ck_ = off_ic_ + n_ic_flat().size();
+  off_c_ = off_ck_ + n_ck_flat().size();
+  off_ckt_ = off_c_ + n_c_flat().size();
+  off_kv_ = off_ckt_ + n_ckt_flat().size();
+  off_k_ = off_kv_ + n_kv_flat().size();
+  off_cc_ = off_k_ + n_k_flat().size();
+  delta_size_ = off_cc_ + n_cc_flat().size();
 }
 
 void ParallelColdState::EnsureDeltaBuffers(size_t num_workers) {
-  while (deltas_.size() < num_workers) {
-    auto* raw = static_cast<int32_t*>(::operator new[](
-        delta_size_ * sizeof(int32_t), std::align_val_t{kCacheLineBytes}));
-    std::memset(raw, 0, delta_size_ * sizeof(int32_t));
-    deltas_.emplace_back(raw);
-  }
+  while (deltas_.size() < num_workers) deltas_.emplace_back(delta_size_, 0);
 }
 
-std::atomic<int32_t>& ParallelColdState::CanonicalAt(size_t idx) {
-  if (idx < off_ck_) return n_ic_[idx - off_ic_];
-  if (idx < off_c_) return n_ck_[idx - off_ck_];
-  if (idx < off_ckt_) return n_c_[idx - off_c_].value;
-  if (idx < off_kv_) return n_ckt_[idx - off_ckt_];
-  if (idx < off_k_) return n_kv_[idx - off_kv_];
-  if (idx < off_cc_) return n_k_[idx - off_k_].value;
-  return n_cc_[idx - off_cc_];
+int32_t& ParallelColdState::CanonicalAt(size_t idx) {
+  if (idx < off_ck_) return mut_n_ic_flat()[idx - off_ic_];
+  if (idx < off_c_) return mut_n_ck_flat()[idx - off_ck_];
+  if (idx < off_ckt_) return mut_n_c_flat()[idx - off_c_];
+  if (idx < off_kv_) return mut_n_ckt_flat()[idx - off_ckt_];
+  if (idx < off_k_) return mut_n_kv_flat()[idx - off_kv_];
+  if (idx < off_cc_) return mut_n_k_flat()[idx - off_k_];
+  return mut_n_cc_flat()[idx - off_cc_];
 }
 
 void ParallelColdState::MergeDeltaRange(size_t begin, size_t end) {
   for (size_t idx = begin; idx < end; ++idx) {
     int32_t total = 0;
-    for (DeltaBuffer& buf : deltas_) {
+    for (std::vector<int32_t>& buf : deltas_) {
       total += buf[idx];
       buf[idx] = 0;
     }
-    if (total != 0) {
-      CanonicalAt(idx).fetch_add(total, std::memory_order_relaxed);
-    }
+    if (total != 0) CanonicalAt(idx) += total;
   }
 }
 
@@ -96,7 +50,7 @@ void ParallelColdState::DrainDeltas(
   out->clear();
   for (size_t idx = 0; idx < delta_size_; ++idx) {
     int32_t total = 0;
-    for (DeltaBuffer& buf : deltas_) {
+    for (std::vector<int32_t>& buf : deltas_) {
       total += buf[idx];
       buf[idx] = 0;
     }
@@ -114,82 +68,7 @@ cold::Status ParallelColdState::ApplyDeltaEntries(
           "delta index " + std::to_string(idx) + " outside the " +
           std::to_string(delta_size_) + "-cell table");
     }
-    CanonicalAt(idx).fetch_add(delta, std::memory_order_relaxed);
-  }
-  return cold::Status::OK();
-}
-
-ColdState ParallelColdState::ToColdState() const {
-  ColdState out(num_users_, num_communities_, num_topics_, num_time_slices_,
-                vocab_size_, static_cast<int>(post_community.size()),
-                static_cast<int64_t>(link_src_community.size()));
-  out.post_community = post_community;
-  out.post_topic = post_topic;
-  out.link_src_community = link_src_community;
-  out.link_dst_community = link_dst_community;
-  for (int i = 0; i < num_users_; ++i) {
-    out.n_i(i) = n_i_[static_cast<size_t>(i)].load(std::memory_order_relaxed);
-    for (int c = 0; c < num_communities_; ++c) {
-      out.n_ic(i, c) = r_n_ic(i, c);
-    }
-  }
-  for (int c = 0; c < num_communities_; ++c) {
-    out.n_c(c) = r_n_c(c);
-    for (int k = 0; k < num_topics_; ++k) {
-      out.n_ck(c, k) = r_n_ck(c, k);
-      for (int t = 0; t < num_time_slices_; ++t) {
-        out.n_ckt(c, k, t) = r_n_ckt(c, k, t);
-      }
-    }
-    for (int c2 = 0; c2 < num_communities_; ++c2) {
-      out.n_cc(c, c2) = r_n_cc(c, c2);
-    }
-  }
-  for (int k = 0; k < num_topics_; ++k) {
-    out.n_k(k) = r_n_k(k);
-    for (int v = 0; v < vocab_size_; ++v) {
-      out.n_kv(k, v) = r_n_kv(k, v);
-    }
-  }
-  return out;
-}
-
-cold::Status ParallelColdState::RestoreFrom(const ColdState& s) {
-  if (s.U() != num_users_ || s.C() != num_communities_ ||
-      s.K() != num_topics_ || s.T() != num_time_slices_ ||
-      s.V() != vocab_size_ ||
-      s.post_community.size() != post_community.size() ||
-      s.link_src_community.size() != link_src_community.size()) {
-    return cold::Status::InvalidArgument(
-        "checkpoint state dimensions do not match the trainer");
-  }
-  post_community = s.post_community;
-  post_topic = s.post_topic;
-  link_src_community = s.link_src_community;
-  link_dst_community = s.link_dst_community;
-  for (int i = 0; i < num_users_; ++i) {
-    n_i_[static_cast<size_t>(i)].store(s.n_i(i), std::memory_order_relaxed);
-    for (int c = 0; c < num_communities_; ++c) {
-      n_ic(i, c).store(s.n_ic(i, c), std::memory_order_relaxed);
-    }
-  }
-  for (int c = 0; c < num_communities_; ++c) {
-    n_c(c).store(s.n_c(c), std::memory_order_relaxed);
-    for (int k = 0; k < num_topics_; ++k) {
-      n_ck(c, k).store(s.n_ck(c, k), std::memory_order_relaxed);
-      for (int t = 0; t < num_time_slices_; ++t) {
-        n_ckt(c, k, t).store(s.n_ckt(c, k, t), std::memory_order_relaxed);
-      }
-    }
-    for (int c2 = 0; c2 < num_communities_; ++c2) {
-      n_cc(c, c2).store(s.n_cc(c, c2), std::memory_order_relaxed);
-    }
-  }
-  for (int k = 0; k < num_topics_; ++k) {
-    n_k(k).store(s.n_k(k), std::memory_order_relaxed);
-    for (int v = 0; v < vocab_size_; ++v) {
-      n_kv(k, v).store(s.n_kv(k, v), std::memory_order_relaxed);
-    }
+    CanonicalAt(idx) += delta;
   }
   return cold::Status::OK();
 }

@@ -1,136 +1,38 @@
-// Counter state for the parallel sampler. Mirrors ColdState's layout with
-// std::atomic cells plus, for the default delta-table execution mode, one
-// plain int32 delta buffer per worker.
+// Counter state for the parallel sampler: a ColdState (the canonical
+// assignments and count tables, laid out exactly as the serial sampler's)
+// plus one plain int32 delta buffer per worker.
 //
-// Two update disciplines share this state:
-//   - delta mode (default): scatter reads the canonical atomics, which are
-//     FROZEN for the whole phase, and accumulates +/-1 updates into its
-//     worker's private delta buffer; the engine merges all buffers into the
-//     canonical tables at the superstep boundary (MergeDeltaRange, striped
-//     across the pool). Counter sums are integer and per-cell, so the merged
-//     result is independent of worker count and chunk scheduling — the basis
-//     of the trainer's multi-worker determinism guarantee (DESIGN.md §10).
-//   - legacy shared-counter mode: concurrent relaxed fetch_add directly on
-//     the atomics (the approximate-parallel Gibbs of §4.3 with live counts),
-//     kept selectable for A/B benchmarking.
+// Scatter reads the canonical counts, which are FROZEN for the whole phase,
+// and accumulates its +/-1 updates into its worker's private delta buffer;
+// the engine merges all buffers into the canonical tables at the superstep
+// boundary (MergeDeltaRange, striped across the pool). Counter sums are
+// integer and per-cell, so the merged result is independent of worker count
+// and chunk scheduling — the basis of the trainer's multi-worker determinism
+// guarantee (DESIGN.md §10).
+//
+// Nothing here is atomic because no cell is ever written by two threads at
+// once: apply writes cells owned by one vertex, scatter writes only its own
+// edge's assignments and its worker's buffer, each merge task owns a
+// disjoint range of cells, and the thread pool joins between phases.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <new>
 #include <utility>
 #include <vector>
 
 #include "core/cold_state.h"
+#include "util/status.h"
 
 namespace cold::core {
 
-#if defined(__cpp_lib_hardware_interference_size) && defined(__GNUC__) && \
-    !defined(__clang__)
-// GCC warns (-Winterference-size) that the value may differ between
-// translation units compiled with different -mtune flags; this project
-// builds every TU with one toolchain invocation, so the warning does not
-// apply here.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Winterference-size"
-inline constexpr std::size_t kCacheLineBytes =
-    std::hardware_destructive_interference_size;
-#pragma GCC diagnostic pop
-#elif defined(__cpp_lib_hardware_interference_size)
-inline constexpr std::size_t kCacheLineBytes =
-    std::hardware_destructive_interference_size;
-#else
-// Portable fallback: 64 bytes covers x86-64 and mainstream ARM cores.
-inline constexpr std::size_t kCacheLineBytes = 64;
-#endif
-
-/// \brief One atomic counter padded out to a full cache line, so the small
-/// dense arrays (n_c, n_k) cannot false-share under concurrent updates in
-/// legacy mode (and under the striped merge in delta mode).
-struct alignas(kCacheLineBytes) PaddedCount {
-  std::atomic<int32_t> value{0};
-};
-
-/// \brief Shared mutable counters + assignments for the GAS sampler.
-///
-/// Assignment vectors are plain (each element is written only by the single
-/// scatter task owning its edge); counters are atomics; delta buffers are
-/// plain per-worker int32 arrays, each cache-line-aligned so no two workers'
-/// buffers share a line.
-class ParallelColdState {
+/// \brief Canonical sampler state shared by the GAS sampler's workers, plus
+/// their per-worker delta tables.
+class ParallelColdState : public ColdState {
  public:
   ParallelColdState(int num_users, int num_communities, int num_topics,
                     int num_time_slices, int vocab_size, int num_posts,
                     int64_t num_links);
-
-  int U() const { return num_users_; }
-  int C() const { return num_communities_; }
-  int K() const { return num_topics_; }
-  int T() const { return num_time_slices_; }
-  int V() const { return vocab_size_; }
-
-  std::vector<int32_t> post_community;
-  std::vector<int32_t> post_topic;
-  std::vector<int32_t> link_src_community;
-  std::vector<int32_t> link_dst_community;
-
-  std::atomic<int32_t>& n_ic(int i, int c) {
-    return n_ic_[static_cast<size_t>(i) * num_communities_ + c];
-  }
-  std::atomic<int32_t>& n_i(int i) { return n_i_[static_cast<size_t>(i)]; }
-  std::atomic<int32_t>& n_ck(int c, int k) {
-    return n_ck_[static_cast<size_t>(c) * num_topics_ + k];
-  }
-  std::atomic<int32_t>& n_c(int c) {
-    return n_c_[static_cast<size_t>(c)].value;
-  }
-  std::atomic<int32_t>& n_ckt(int c, int k, int t) {
-    return n_ckt_[(static_cast<size_t>(c) * num_topics_ + k) *
-                      num_time_slices_ +
-                  t];
-  }
-  std::atomic<int32_t>& n_kv(int k, int v) {
-    return n_kv_[static_cast<size_t>(k) * vocab_size_ + v];
-  }
-  std::atomic<int32_t>& n_k(int k) {
-    return n_k_[static_cast<size_t>(k)].value;
-  }
-  std::atomic<int32_t>& n_cc(int c, int c2) {
-    return n_cc_[static_cast<size_t>(c) * num_communities_ + c2];
-  }
-
-  // Relaxed readers (sampling tolerates slight staleness in legacy mode; in
-  // delta mode the values are frozen during scatter, so these are exact).
-  int32_t r_n_ic(int i, int c) const {
-    return n_ic_[static_cast<size_t>(i) * num_communities_ + c].load(
-        std::memory_order_relaxed);
-  }
-  int32_t r_n_ck(int c, int k) const {
-    return n_ck_[static_cast<size_t>(c) * num_topics_ + k].load(
-        std::memory_order_relaxed);
-  }
-  int32_t r_n_c(int c) const {
-    return n_c_[static_cast<size_t>(c)].value.load(std::memory_order_relaxed);
-  }
-  int32_t r_n_ckt(int c, int k, int t) const {
-    return n_ckt_[(static_cast<size_t>(c) * num_topics_ + k) *
-                      num_time_slices_ +
-                  t]
-        .load(std::memory_order_relaxed);
-  }
-  int32_t r_n_kv(int k, int v) const {
-    return n_kv_[static_cast<size_t>(k) * vocab_size_ + v].load(
-        std::memory_order_relaxed);
-  }
-  int32_t r_n_k(int k) const {
-    return n_k_[static_cast<size_t>(k)].value.load(std::memory_order_relaxed);
-  }
-  int32_t r_n_cc(int c, int c2) const {
-    return n_cc_[static_cast<size_t>(c) * num_communities_ + c2].load(
-        std::memory_order_relaxed);
-  }
 
   // --- per-worker delta tables --------------------------------------------
   //
@@ -148,26 +50,24 @@ class ParallelColdState {
   void EnsureDeltaBuffers(size_t num_workers);
 
   /// Worker `w`'s delta buffer (EnsureDeltaBuffers must cover w).
-  int32_t* delta(size_t w) { return deltas_[w].get(); }
-  size_t num_delta_buffers() const { return deltas_.size(); }
+  int32_t* delta(size_t w) { return deltas_[w].data(); }
 
   size_t dx_n_ic(int i, int c) const {
-    return off_ic_ + static_cast<size_t>(i) * num_communities_ + c;
+    return off_ic_ + static_cast<size_t>(i) * C() + c;
   }
   size_t dx_n_ck(int c, int k) const {
-    return off_ck_ + static_cast<size_t>(c) * num_topics_ + k;
+    return off_ck_ + static_cast<size_t>(c) * K() + k;
   }
   size_t dx_n_c(int c) const { return off_c_ + static_cast<size_t>(c); }
   size_t dx_n_ckt(int c, int k, int t) const {
-    return off_ckt_ +
-           (static_cast<size_t>(c) * num_topics_ + k) * num_time_slices_ + t;
+    return off_ckt_ + (static_cast<size_t>(c) * K() + k) * T() + t;
   }
   size_t dx_n_kv(int k, int v) const {
-    return off_kv_ + static_cast<size_t>(k) * vocab_size_ + v;
+    return off_kv_ + static_cast<size_t>(k) * V() + v;
   }
   size_t dx_n_k(int k) const { return off_k_ + static_cast<size_t>(k); }
   size_t dx_n_cc(int c, int c2) const {
-    return off_cc_ + static_cast<size_t>(c) * num_communities_ + c2;
+    return off_cc_ + static_cast<size_t>(c) * C() + c2;
   }
 
   /// \brief Folds every worker's deltas for flat cells [begin, end) into the
@@ -190,41 +90,9 @@ class ParallelColdState {
   cold::Status ApplyDeltaEntries(
       const std::vector<std::pair<uint32_t, int32_t>>& entries);
 
-  /// \brief Snapshots everything into a plain ColdState (for estimate
-  /// extraction, invariant checks, and checkpoint serialization).
-  ColdState ToColdState() const;
-
-  /// \brief Installs assignments and counters from a plain ColdState (the
-  /// checkpoint restore path). Dimensions must match; returns
-  /// InvalidArgument otherwise. Not thread-safe — call only while no
-  /// superstep is executing.
-  cold::Status RestoreFrom(const ColdState& s);
-
  private:
-  struct AlignedDelete {
-    void operator()(int32_t* p) const {
-      ::operator delete[](p, std::align_val_t{kCacheLineBytes});
-    }
-  };
-  using DeltaBuffer = std::unique_ptr<int32_t[], AlignedDelete>;
-
-  /// The canonical atomic holding flat delta cell `idx`.
-  std::atomic<int32_t>& CanonicalAt(size_t idx);
-
-  int num_users_;
-  int num_communities_;
-  int num_topics_;
-  int num_time_slices_;
-  int vocab_size_;
-
-  std::unique_ptr<std::atomic<int32_t>[]> n_ic_;
-  std::unique_ptr<std::atomic<int32_t>[]> n_i_;
-  std::unique_ptr<std::atomic<int32_t>[]> n_ck_;
-  std::unique_ptr<PaddedCount[]> n_c_;
-  std::unique_ptr<std::atomic<int32_t>[]> n_ckt_;
-  std::unique_ptr<std::atomic<int32_t>[]> n_kv_;
-  std::unique_ptr<PaddedCount[]> n_k_;
-  std::unique_ptr<std::atomic<int32_t>[]> n_cc_;
+  /// The canonical counter cell holding flat delta cell `idx`.
+  int32_t& CanonicalAt(size_t idx);
 
   // Segment offsets into the flat delta index space, in storage order.
   size_t off_ic_ = 0;
@@ -236,7 +104,7 @@ class ParallelColdState {
   size_t off_cc_ = 0;
   size_t delta_size_ = 0;
 
-  std::vector<DeltaBuffer> deltas_;
+  std::vector<std::vector<int32_t>> deltas_;
 };
 
 }  // namespace cold::core

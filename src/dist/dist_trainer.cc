@@ -198,11 +198,6 @@ cold::Status DistTrainer::Validate(size_t num_peers) const {
         "node_rank " + std::to_string(config_.node_rank) +
         " outside [0, " + std::to_string(config_.num_nodes) + ")");
   }
-  if (config_.engine.legacy_shared_counters) {
-    return cold::Status::InvalidArgument(
-        "distributed training requires the delta-table mode "
-        "(legacy_shared_counters must be off)");
-  }
   const size_t want =
       config_.num_nodes == 1
           ? 0

@@ -53,10 +53,8 @@ struct DistConfig {
   int node_rank = 0;
   core::ColdConfig cold;
   /// Per-node engine options (`threads_per_node` workers in this process).
-  /// `legacy_shared_counters` is rejected (sharded scatter needs the delta
-  /// tables). Checkpoint byte-identity across cluster sizes holds
-  /// when `threads_per_node` matches (per-worker RNG streams are part of
-  /// the parallel checkpoint payload).
+  /// Models and checkpoints are byte-identical across cluster sizes and
+  /// worker counts.
   engine::EngineOptions engine;
   /// Per-node checkpoint rotation (give every rank its own directory).
   core::CheckpointOptions checkpoint;

@@ -36,7 +36,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/rng.h"
-#include "util/status.h"
 #include "util/stopwatch.h"
 #include "util/thread_pool.h"
 
@@ -82,22 +81,16 @@ concept HasPostScatter = requires(Program p, cold::ThreadPool* pool) {
 /// Public (namespace scope) so the distributed layer can compute chunk
 /// ownership that matches the engine's scatter chunking exactly.
 inline constexpr int64_t kScatterChunkEdges = 256;
-/// Chunk RNG streams start far above the legacy per-worker streams
-/// (1..kMaxWorkers) and the trainer's init stream, so no sequence is
-/// reused across purposes.
+/// Chunk RNG streams start far above the small stream ids the trainers use
+/// elsewhere (e.g. their init stream), so no sequence is reused across
+/// purposes.
 inline constexpr uint64_t kChunkStreamBase = uint64_t{1} << 32;
 
 /// \brief Which incident edges the gather phase visits.
 enum class GatherEdges { kNone, kIn, kOut, kAll };
 
-/// \brief Execution mode: synchronous supersteps (gather/apply/scatter with
-/// barriers) or asynchronous sweeps (scatter-only, dynamic scheduling).
-enum class ExecutionMode { kSync, kAsync };
-
 /// \brief Engine configuration.
 struct EngineOptions {
-  /// Synchronous GAS supersteps (default) or asynchronous sweeps.
-  ExecutionMode execution = ExecutionMode::kSync;
   /// Worker threads of this engine (a distributed node is one process, so
   /// this is also the per-node count), capped at hardware concurrency
   /// unless `oversubscribe` is set.
@@ -109,11 +102,6 @@ struct EngineOptions {
   /// for exercising multi-worker code paths (tests, TSan) on small hosts,
   /// not for throughput.
   bool oversubscribe = false;
-  /// Opt back into the pre-delta-table execution: scatter updates shared
-  /// atomic counters live instead of buffering per-worker deltas. Consumed
-  /// by the COLD vertex program (the engine just carries it); kept for
-  /// benchmarking the contention the delta tables remove.
-  bool legacy_shared_counters = false;
 };
 
 /// \brief Engine execution statistics, reset by each Run call.
@@ -153,9 +141,13 @@ struct WorkerContext {
 ///   void Scatter(Graph*, EdgeId, WorkerContext*) ;
 ///   void PostSuperstep(Graph*, int superstep);   // global sync point
 ///
-/// Scatter runs in parallel over edges; programs are responsible for making
-/// concurrent edge updates safe (COLD uses atomic counters + periodic global
-/// sync, the same approximate-Gibbs semantics as the paper).
+/// Phases are separated by the pool's join, so a phase only races with
+/// itself. Gather and Apply share one pass over the vertices: Apply may
+/// write only state owned by its vertex that no Gather reads. Scatter runs
+/// in parallel over edge chunks and may write only its own edge's state and
+/// worker-private scratch (COLD buffers its count updates in per-worker
+/// delta tables and merges them in PostScatter). Under that discipline no
+/// program state needs to be atomic.
 template <typename VData, typename EData, typename Program>
 class GasEngine {
  public:
@@ -165,38 +157,10 @@ class GasEngine {
       : graph_(graph),
         program_(program),
         options_(options),
-        pool_(ComputeThreads(options)) {
-    InitSamplers();
-  }
+        pool_(ComputeThreads(options)) {}
 
   const EngineStats& stats() const { return stats_; }
   size_t num_threads() const { return pool_.num_threads(); }
-
-  /// \brief Snapshots every worker's RNG stream (checkpoint capture).
-  std::vector<cold::RngState> SamplerStates() const {
-    std::vector<cold::RngState> out;
-    out.reserve(samplers_.size());
-    for (const auto& s : samplers_) out.push_back(s.SaveState());
-    return out;
-  }
-
-  /// \brief Restores worker RNG streams captured by SamplerStates(). The
-  /// worker count must match the checkpointed one — resuming with a
-  /// different thread layout would silently change the draw sequences.
-  cold::Status RestoreSamplerStates(
-      const std::vector<cold::RngState>& states) {
-    if (states.size() != samplers_.size()) {
-      return cold::Status::InvalidArgument(
-          "checkpoint has " + std::to_string(states.size()) +
-          " worker RNG streams but the engine runs " +
-          std::to_string(samplers_.size()) +
-          " workers; resume with the same worker count (--threads)");
-    }
-    for (size_t w = 0; w < states.size(); ++w) {
-      samplers_[w].RestoreState(states[w]);
-    }
-    return cold::Status::OK();
-  }
 
   /// \brief Sets the superstep index that keys the per-chunk scatter RNG
   /// streams. The engine advances it after every scatter; a checkpoint
@@ -221,30 +185,9 @@ class GasEngine {
     scatter_chunk_mask_ = mask;
   }
 
-  /// \brief Runs `supersteps` full iterations in the configured execution
-  /// mode, accumulating stats.
+  /// \brief Runs `supersteps` supersteps, accumulating stats.
   void Run(int supersteps) {
-    for (int s = 0; s < supersteps; ++s) {
-      if (options_.execution == ExecutionMode::kAsync) {
-        RunAsyncSweep();
-      } else {
-        RunSuperstep();
-      }
-    }
-  }
-
-  /// \brief Runs one ASYNCHRONOUS sweep (GraphLab's second execution mode):
-  /// no gather/apply barrier — workers pull edge chunks from a shared
-  /// cursor and scatter against continuously-updated state. The program
-  /// must maintain its own counters inside Scatter (the COLD program does,
-  /// via atomics); gather-rebuilt state is never refreshed here.
-  void RunAsyncSweep() {
-    COLD_TRACE_SPAN("engine/async_sweep");
-    auto& metrics = internal::GetEngineMetrics();
-    RunScatterPhase(metrics);
-    program_->PostSuperstep(graph_, stats_.supersteps);
-    stats_.supersteps++;
-    metrics.supersteps->Increment();
+    for (int s = 0; s < supersteps; ++s) RunSuperstep();
   }
 
   /// \brief Runs one gather/apply/scatter superstep.
@@ -298,9 +241,9 @@ class GasEngine {
     return std::max<size_t>(1, std::min(want, hw));
   }
 
-  /// \brief The scatter phase shared by sync supersteps and async sweeps:
-  /// optional PreScatter hook, chunked dynamic execution over edges, and
-  /// the optional PostScatter hook (timed separately as merge_seconds).
+  /// \brief The scatter phase: optional PreScatter hook, chunked dynamic
+  /// execution over edges, and the optional PostScatter hook (timed
+  /// separately as merge_seconds).
   ///
   /// Determinism: chunk boundaries depend only on the edge count and each
   /// chunk owns RNG stream (superstep * num_chunks + chunk), so the drawn
@@ -359,21 +302,10 @@ class GasEngine {
     metrics.merge_seconds->Add(merge_s);
   }
 
-  void InitSamplers() {
-    samplers_.clear();
-    for (size_t w = 0; w < pool_.num_threads(); ++w) {
-      samplers_.emplace_back(options_.seed, /*stream=*/w + 1);
-    }
-  }
-
   Graph* graph_;
   Program* program_;
   EngineOptions options_;
   cold::ThreadPool pool_;
-  // Legacy per-worker streams. Scatter now draws from per-chunk streams;
-  // these remain only because the v1 checkpoint payload serializes them
-  // (SamplerStates/RestoreSamplerStates keep old checkpoints readable).
-  std::vector<cold::RandomSampler> samplers_;
   EngineStats stats_;
   int64_t superstep_index_ = 0;
   const std::vector<uint8_t>* scatter_chunk_mask_ = nullptr;

@@ -467,14 +467,6 @@ TEST(DistLivenessTest, HungPeerDetectedWithinTheLivenessDeadline) {
   ASSERT_TRUE(WIFSIGNALED(wstatus));
 }
 
-TEST(DistTrainerTest, RejectsLegacyCounterMode) {
-  const auto& ds = TestData();
-  DistConfig config = TestDistConfig(1, 0);
-  config.engine.legacy_shared_counters = true;
-  DistTrainer trainer(config, ds.posts, &ds.interactions);
-  EXPECT_FALSE(trainer.Run({}).ok());
-}
-
 TEST(DistTrainerTest, RejectsBadPeerCount) {
   const auto& ds = TestData();
   DistTrainer trainer(TestDistConfig(3, 1), ds.posts, &ds.interactions);

@@ -195,33 +195,3 @@ TEST(GasEngineTest, ScatterRngIsDeterministicPerWorkerStream) {
 
 }  // namespace
 }  // namespace cold::engine
-
-namespace cold::engine {
-namespace {
-
-TEST(GasEngineAsyncTest, AsyncSweepVisitsEveryEdgeOnce) {
-  auto g = MakeChain(50);
-  DegreeProgram program;
-  EngineOptions options;
-  options.execution = ExecutionMode::kAsync;
-  GasEngine<int, int, DegreeProgram> engine(&g, &program, options);
-  engine.Run(4);
-  for (EdgeId e = 0; e < g.num_edges(); ++e) {
-    EXPECT_EQ(g.edge_data(e), 4);
-  }
-  EXPECT_EQ(engine.stats().supersteps, 4);
-}
-
-TEST(GasEngineAsyncTest, AsyncSkipsGatherApply) {
-  auto g = MakeChain(5);
-  DegreeProgram program;
-  EngineOptions options;
-  options.execution = ExecutionMode::kAsync;
-  GasEngine<int, int, DegreeProgram> engine(&g, &program, options);
-  engine.RunAsyncSweep();
-  // Vertex data untouched (gather/apply never ran).
-  for (int i = 0; i < 5; ++i) EXPECT_EQ(g.vertex_data(i), 0);
-}
-
-}  // namespace
-}  // namespace cold::engine

@@ -1,10 +1,12 @@
 // Stress test for the parallel trainer's delta-table scatter: many
-// oversubscribed workers hammering a tiny dataset for hundreds of
-// supersteps. Small data maximizes cross-worker adjacency (every worker
-// touches every counter region), so this is the test that gives TSan the
-// best shot at the merge/freeze protocol — run it under the tsan preset
-// (see README "Testing"). It also re-checks determinism after a long run,
-// where any scheduling-dependent divergence would have compounded.
+// oversubscribed workers hammering one dataset for hundreds of supersteps.
+// Three communities and four topics keep the count tables tiny, so every
+// worker touches every counter region, and the dataset spans more scatter
+// chunks than there are workers, so every worker scatters in every
+// superstep. That makes this the test that gives TSan the best shot at the
+// merge/freeze protocol — run it under the tsan preset (see README
+// "Testing"). It also re-checks determinism after a long run, where any
+// scheduling-dependent divergence would have compounded.
 #include <gtest/gtest.h>
 
 #include "core/cold.h"
@@ -16,13 +18,13 @@ namespace {
 const data::SocialDataset& StressData() {
   static const data::SocialDataset* dataset = [] {
     data::SyntheticConfig config;
-    config.num_users = 40;
+    config.num_users = 400;
     config.num_communities = 3;
     config.num_topics = 4;
-    config.num_time_slices = 6;
+    config.num_time_slices = 12;
     config.core_words_per_topic = 8;
     config.background_words = 30;
-    config.posts_per_user = 4.0;
+    config.posts_per_user = 8.0;
     config.words_per_post = 6.0;
     config.follows_per_user = 6;
     config.seed = 23;
@@ -55,6 +57,9 @@ TEST(ParallelStressTest, ManyWorkersManySuperstepsStayConsistent) {
   ParallelColdTrainer trainer(StressModelConfig(), ds.posts,
                               &ds.interactions, StressOptions());
   ASSERT_TRUE(trainer.Init().ok());
+  // A chunk is the unit of scatter work; with fewer chunks than workers
+  // some workers would never run a draw concurrently with another.
+  ASSERT_GT(trainer.NumScatterChunks(), StressOptions().threads_per_node);
   ASSERT_TRUE(trainer.Train().ok());
   EXPECT_EQ(trainer.supersteps_run(), 200);
   ColdState snapshot = trainer.StateSnapshot();
@@ -79,23 +84,6 @@ TEST(ParallelStressTest, LongRunStaysDeterministic) {
   EXPECT_EQ(a.post_topic, b.post_topic);
   EXPECT_EQ(a.link_src_community, b.link_src_community);
   EXPECT_EQ(a.link_dst_community, b.link_dst_community);
-}
-
-TEST(ParallelStressTest, LegacySharedCountersSurviveContention) {
-  // The legacy shared-atomic mode is approximate but must stay structurally
-  // sound (no lost or phantom counts) under the same worker pressure.
-  const auto& ds = StressData();
-  ColdConfig config = StressModelConfig();
-  config.iterations = 60;
-  config.burn_in = 40;
-  engine::EngineOptions options = StressOptions();
-  options.legacy_shared_counters = true;
-  ParallelColdTrainer trainer(config, ds.posts, &ds.interactions, options);
-  ASSERT_TRUE(trainer.Init().ok());
-  ASSERT_TRUE(trainer.Train().ok());
-  ColdState snapshot = trainer.StateSnapshot();
-  auto status = snapshot.CheckInvariants(ds.posts, &ds.interactions, true);
-  EXPECT_TRUE(status.ok()) << status.ToString();
 }
 
 }  // namespace

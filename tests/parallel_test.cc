@@ -50,11 +50,11 @@ TEST(ParallelStateTest, SnapshotRoundTrip) {
   ParallelColdState state(3, 2, 2, 4, 5, 6, 2);
   state.post_community = {0, 1, 0, 1, 0, 1};
   state.post_topic = {1, 1, 0, 0, 1, 0};
-  state.n_ic(1, 0).store(3);
-  state.n_ckt(1, 0, 2).store(4);
-  state.n_kv(1, 4).store(5);
-  state.n_cc(0, 1).store(6);
-  ColdState snapshot = state.ToColdState();
+  state.n_ic(1, 0) = 3;
+  state.n_ckt(1, 0, 2) = 4;
+  state.n_kv(1, 4) = 5;
+  state.n_cc(0, 1) = 6;
+  ColdState snapshot = state;
   EXPECT_EQ(snapshot.post_community, state.post_community);
   EXPECT_EQ(snapshot.n_ic(1, 0), 3);
   EXPECT_EQ(snapshot.n_ckt(1, 0, 2), 4);
@@ -231,52 +231,10 @@ TEST(ParallelTrainerTest, NoLinkMode) {
   EXPECT_TRUE(snapshot.CheckInvariants(ds.posts, nullptr, false).ok());
 }
 
-}  // namespace
-}  // namespace cold::core
-
-namespace cold::core {
-namespace {
-
-TEST(ParallelTrainerTest, AsyncModeKeepsCountersConsistent) {
-  const auto& ds = TestData();
-  ColdConfig config = TestModelConfig();
-  config.iterations = 4;
-  config.burn_in = 0;
-  engine::EngineOptions options;
-  options.execution = engine::ExecutionMode::kAsync;
-  ParallelColdTrainer trainer(config, ds.posts, &ds.interactions, options);
-  ASSERT_TRUE(trainer.Init().ok());
-  ASSERT_TRUE(trainer.Train().ok());
-  ColdState snapshot = trainer.StateSnapshot();
-  auto status = snapshot.CheckInvariants(ds.posts, &ds.interactions, true);
-  EXPECT_TRUE(status.ok()) << status.ToString();
-}
-
-TEST(ParallelTrainerTest, AsyncAndSyncReachSimilarFit) {
-  const auto& ds = TestData();
-  auto fit = [&](engine::ExecutionMode mode) {
-    ColdConfig config = TestModelConfig();
-    config.iterations = 30;
-    config.burn_in = 0;
-    engine::EngineOptions options;
-    options.execution = mode;
-    ParallelColdTrainer trainer(config, ds.posts, &ds.interactions, options);
-    EXPECT_TRUE(trainer.Init().ok());
-    EXPECT_TRUE(trainer.Train().ok());
-    ColdEstimates est = trainer.Estimates();
-    // Use per-post predictive perplexity as the fit proxy.
-    ColdPredictor predictor(est);
-    return predictor.Perplexity(ds.posts);
-  };
-  double sync_perp = fit(engine::ExecutionMode::kSync);
-  double async_perp = fit(engine::ExecutionMode::kAsync);
-  EXPECT_NEAR(async_perp, sync_perp, sync_perp * 0.15);
-}
-
 // --- delta-table determinism and observability ----------------------------
 
 TEST(ParallelTrainerTest, MultiWorkerFixedSeedRunsAreBitIdentical) {
-  // Delta mode freezes the canonical counters during scatter and keys every
+  // Scatter reads canonical counters frozen for the phase and keys every
   // RNG draw by (superstep, chunk), so repeated runs with the same seed and
   // worker count -- and runs with DIFFERENT worker counts -- must land on
   // byte-identical state.
@@ -309,8 +267,8 @@ TEST(ParallelTrainerTest, MultiWorkerFixedSeedRunsAreBitIdentical) {
 }
 
 TEST(ParallelTrainerTest, StaleClampStaysZeroUnderDeltaMode) {
-  // The delta tables read frozen counts with exact own-contribution
-  // exclusion, so the negative-count clamp in the kernels must never fire.
+  // The kernels read frozen counts with exact own-contribution exclusion,
+  // so the negative-count clamp must never fire.
   obs::Registry::Enable();
   auto& registry = obs::Registry::Global();
   registry.Reset();
@@ -326,23 +284,6 @@ TEST(ParallelTrainerTest, StaleClampStaysZeroUnderDeltaMode) {
   ASSERT_TRUE(trainer.Train().ok());
   EXPECT_EQ(registry.GetCounter("cold/parallel/stale_clamp_total")->Value(),
             0);
-}
-
-TEST(ParallelTrainerTest, LegacyCountersModeStaysConsistent) {
-  // The pre-delta shared-atomic path stays selectable for A/B runs and must
-  // still produce invariant-clean counters.
-  const auto& ds = TestData();
-  ColdConfig config = TestModelConfig();
-  config.iterations = 4;
-  config.burn_in = 0;
-  engine::EngineOptions options;
-  options.legacy_shared_counters = true;
-  ParallelColdTrainer trainer(config, ds.posts, &ds.interactions, options);
-  ASSERT_TRUE(trainer.Init().ok());
-  ASSERT_TRUE(trainer.Train().ok());
-  ColdState snapshot = trainer.StateSnapshot();
-  auto status = snapshot.CheckInvariants(ds.posts, &ds.interactions, true);
-  EXPECT_TRUE(status.ok()) << status.ToString();
 }
 
 }  // namespace

@@ -10,8 +10,8 @@
 #
 # COLD_BENCH_GATE_TOLERANCE (default 0.5) is deliberately loose: smoke
 # scale is seconds of work on whatever machine CI lands on, so the gate is
-# tuned to catch wreck-the-hot-path regressions (the ~2x delta-vs-legacy
-# gap), not percent-level noise. On top of that the gate is best-of-N
+# tuned to catch wreck-the-hot-path regressions (on the order of 2x), not
+# percent-level noise. On top of that the gate is best-of-N
 # (COLD_BENCH_GATE_ATTEMPTS, default 3): a genuine regression fails every
 # attempt, while a scheduler hiccup on a loaded box passes a retry. Update
 # baselines by re-running the benches with COLD_BENCH_THREADS=2 and

@@ -29,8 +29,8 @@
 // --checkpoint-dir enables durable training checkpoints (atomic write,
 // CRC-verified, keep-last-N rotation) every --checkpoint-every sweeps;
 // --resume restarts from the newest usable checkpoint in that directory
-// and continues to a bit-identical final model (see DESIGN.md, "Fault
-// tolerance"). The COLD_FAULT_POINT environment variable (e.g.
+// and continues to a bit-identical final model, under any --threads (see
+// DESIGN.md, "Fault tolerance"). The COLD_FAULT_POINT environment variable (e.g.
 // "after_sweep:25") arms the crash-injection harness used by
 // tools/crashloop_train.sh.
 //
@@ -99,7 +99,6 @@ int Usage(const char* argv0) {
                "usage: %s <dataset-dir> <model-out> [C=8] [K=12] "
                "[--arena-out PATH] "
                "[iterations=150] [--parallel] [--threads N] "
-               "[--legacy-counters] "
                "[--nodes N [--node-rank R --coordinator HOST:PORT]] "
                "[--max-restarts K] [--heartbeat-interval-ms N] "
                "[--heartbeat-timeout-ms N] [--progress-timeout-ms N] "
@@ -159,7 +158,6 @@ struct Args {
   int progress_timeout_ms = 120000;
   /// Worker threads: of the --parallel engine, or of each --nodes process.
   int threads_per_node = 1;
-  bool legacy_counters = false;
   std::string metrics_out;
   bool trace = false;
   std::string trace_out;
@@ -264,8 +262,6 @@ bool ParseArgs(int argc, char** argv, Args* args) {
         std::fprintf(stderr, "--threads requires a positive int\n");
         return false;
       }
-    } else if (std::strcmp(arg, "--legacy-counters") == 0) {
-      args->legacy_counters = true;
     } else if (std::strcmp(arg, "--metrics-out") == 0) {
       if (a + 1 >= argc) {
         std::fprintf(stderr, "--metrics-out requires a file argument\n");
@@ -629,7 +625,6 @@ int RunDistNode(const Args& args, const cold::core::ColdConfig& config,
   dc.node_rank = rank;
   dc.cold = config;
   dc.engine.threads_per_node = args.threads_per_node;
-  dc.engine.legacy_shared_counters = args.legacy_counters;
   dc.engine.oversubscribe = args.oversubscribe;
   if (!args.checkpoint_dir.empty()) {
     dc.checkpoint.dir =
@@ -970,7 +965,6 @@ int main(int argc, char** argv) {
   if (args.parallel) {
     engine::EngineOptions options;
     options.threads_per_node = args.threads_per_node;
-    options.legacy_shared_counters = args.legacy_counters;
     options.oversubscribe = args.oversubscribe;
     core::ParallelColdTrainer trainer(config, dataset.posts,
                                       &dataset.interactions, options);
