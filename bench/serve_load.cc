@@ -4,11 +4,10 @@
 // Starts the real ModelService + HttpServer in-process over a COLDARN1
 // arena snapshot and drives it with a poll()-multiplexed non-blocking
 // client: N keep-alive connections issuing single-candidate /v1/diffusion
-// requests back to back. Scenarios sweep connection count for both
-// serving cores (epoll event loop vs the legacy thread-per-connection
-// pool, workers sized to the connection count), then two targeted runs:
+// requests back to back. Scenarios sweep connection count, then two
+// targeted runs:
 //
-//   reload — epoll load with /admin-style hot reloads every 50ms; reports
+//   reload — load with /admin-style hot reloads every 50ms; reports
 //            sustained reload rate and the swap-stall quantiles from
 //            cold/serve/reload_swap_seconds (the O(1) pointer-swap claim).
 //   shed   — offered connections over max_inflight; reports the shed rate
@@ -16,10 +15,10 @@
 //
 // Emits: requests_per_sec + p50/p99/p999 latency per scenario (the
 // *_per_sec keys are what bench_compare gates against
-// bench/baselines/serve.json), epoll-vs-blocking speedup at the highest
-// connection count, reload stall, shed rate. Latencies are also observed
-// into the cold/bench/serve_latency_seconds histogram family (labels
-// mode/connections) so COLD_BENCH_METRICS snapshots carry them.
+// bench/baselines/serve.json), reload stall, shed rate, and the host's
+// hardware thread count. Latencies are also observed into the
+// cold/bench/serve_latency_seconds histogram family (labels
+// scenario/connections) so COLD_BENCH_METRICS snapshots carry them.
 //
 // Usage: serve_load [--smoke] [--out BENCH_serve.json]
 #include <arpa/inet.h>
@@ -40,6 +39,7 @@
 #include <memory>
 #include <random>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common.h"
@@ -118,7 +118,6 @@ std::vector<std::string> BuildRequestPool(int U, int V, int pool_size) {
 
 struct ScenarioResult {
   std::string name;
-  std::string mode;
   int connections = 0;
   double duration_seconds = 0.0;
   int64_t completed = 0;
@@ -318,7 +317,6 @@ class LoadClient {
 serve::Json ScenarioJson(const ScenarioResult& r) {
   serve::Json obj = serve::Json::MakeObject();
   obj.Set("name", r.name);
-  obj.Set("mode", r.mode);
   obj.Set("connections", r.connections);
   obj.Set("duration_seconds", r.duration_seconds);
   obj.Set("requests", r.completed);
@@ -331,18 +329,13 @@ serve::Json ScenarioJson(const ScenarioResult& r) {
   return obj;
 }
 
-ScenarioResult RunScenario(const std::string& name, serve::ModelService* service,
-                           serve::ServerMode mode, int connections,
+ScenarioResult RunScenario(const std::string& name,
+                           serve::ModelService* service, int connections,
                            double seconds,
                            const std::vector<std::string>* pool,
                            size_t max_inflight = 0,
                            const std::function<void()>& tick = {}) {
   serve::HttpServerOptions options;
-  options.mode = mode;
-  // Blocking mode needs a worker per concurrent connection to avoid
-  // head-of-line queueing at the accept path; the event loop handles any
-  // connection count with the default reactor sizing.
-  options.num_workers = static_cast<size_t>(connections);
   options.idle_timeout_seconds = 30;
   options.max_inflight_requests = max_inflight;
   serve::HttpServer server(options, [service](const serve::HttpRequest& req) {
@@ -354,19 +347,17 @@ ScenarioResult RunScenario(const std::string& name, serve::ModelService* service
   }
 
   LoadClient client(server.port(), pool);
-  obs::Labels labels{{"mode", mode == serve::ServerMode::kEpoll ? "epoll"
-                                                                : "blocking"},
+  obs::Labels labels{{"scenario", name},
                      {"connections", std::to_string(connections)}};
   client.set_latency_histogram(obs::Registry::Global().GetHistogram(
       "cold/bench/serve_latency_seconds", labels));
   ScenarioResult result = client.Run(connections, seconds, tick);
   result.name = name;
-  result.mode = mode == serve::ServerMode::kEpoll ? "epoll" : "blocking";
   server.Stop();
   std::printf(
-      "%-22s %-8s conns=%-4d  %9.0f req/s  p50 %6.2fms  p99 %6.2fms  "
+      "%-22s conns=%-4d  %9.0f req/s  p50 %6.2fms  p99 %6.2fms  "
       "p999 %6.2fms  errors=%lld\n",
-      result.name.c_str(), result.mode.c_str(), connections,
+      result.name.c_str(), connections,
       result.requests_per_sec, result.p50_ms, result.p99_ms, result.p999_ms,
       static_cast<long long>(result.errors));
   return result;
@@ -420,30 +411,18 @@ int Run(const LoadOptions& options) {
   const std::vector<int> conn_counts =
       smoke ? std::vector<int>{4, 16} : std::vector<int>{8, 64, 512};
 
-  PrintHeader("serve_load: epoll vs blocking");
+  PrintHeader("serve_load: connection sweep");
   std::vector<ScenarioResult> scenarios;
   for (int conns : conn_counts) {
-    scenarios.push_back(RunScenario("sweep", &service,
-                                    serve::ServerMode::kEpoll, conns, seconds,
-                                    &pool));
-    scenarios.push_back(RunScenario("sweep", &service,
-                                    serve::ServerMode::kBlocking, conns,
-                                    seconds, &pool));
+    scenarios.push_back(RunScenario("sweep", &service, conns, seconds, &pool));
   }
-  const ScenarioResult& epoll_top = scenarios[scenarios.size() - 2];
-  const ScenarioResult& blocking_top = scenarios.back();
-  const double speedup =
-      blocking_top.requests_per_sec > 0.0
-          ? epoll_top.requests_per_sec / blocking_top.requests_per_sec
-          : 0.0;
 
   PrintHeader("serve_load: hot reload under load");
   Clock::time_point next_reload = Clock::now();
   int64_t reloads = 0;
   const Clock::time_point reload_start = Clock::now();
   ScenarioResult reload_run = RunScenario(
-      "reload", &service, serve::ServerMode::kEpoll,
-      smoke ? 4 : 64, seconds, &pool, 0, [&] {
+      "reload", &service, smoke ? 4 : 64, seconds, &pool, 0, [&] {
         if (Clock::now() < next_reload) return;
         next_reload = Clock::now() + std::chrono::milliseconds(50);
         if (service.LoadFromFile(arena_path).ok()) ++reloads;
@@ -466,8 +445,8 @@ int Run(const LoadOptions& options) {
   const int64_t sheds_before = shed_counter->Value();
   const int shed_conns = smoke ? 8 : 64;
   ScenarioResult shed_run =
-      RunScenario("shed", &service, serve::ServerMode::kEpoll, shed_conns,
-                  seconds, &pool, static_cast<size_t>(shed_conns) / 4);
+      RunScenario("shed", &service, shed_conns, seconds, &pool,
+                  static_cast<size_t>(shed_conns) / 4);
   const int64_t sheds = shed_counter->Value() - sheds_before;
   const double offered =
       static_cast<double>(shed_run.completed) + static_cast<double>(sheds);
@@ -485,15 +464,11 @@ int Run(const LoadOptions& options) {
   model.Set("vocab", V);
   model.Set("replicas", 2);
   root.Set("model", std::move(model));
+  const unsigned hw_threads = std::max(1u, std::thread::hardware_concurrency());
+  root.Set("hardware_threads", static_cast<double>(hw_threads));
   serve::Json arr = serve::Json::MakeArray();
   for (const ScenarioResult& r : scenarios) arr.Append(ScenarioJson(r));
   root.Set("scenarios", std::move(arr));
-  serve::Json versus = serve::Json::MakeObject();
-  versus.Set("connections", epoll_top.connections);
-  versus.Set("epoll_requests_per_sec", epoll_top.requests_per_sec);
-  versus.Set("blocking_requests_per_sec", blocking_top.requests_per_sec);
-  versus.Set("speedup", speedup);
-  root.Set("epoll_vs_blocking", std::move(versus));
   serve::Json reload_obj = ScenarioJson(reload_run);
   reload_obj.Set("reloads", reloads);
   reload_obj.Set("reloads_per_sec",

@@ -139,7 +139,6 @@ std::string EncodeHello(const HelloPayload& hello) {
   Append(&out, hello.iterations);
   Append(&out, hello.num_communities);
   Append(&out, hello.num_topics);
-  Append(&out, hello.threads);
   Append(&out, hello.data_fingerprint);
   Append(&out, static_cast<uint64_t>(hello.checkpoint_sweeps.size()));
   for (int32_t sweep : hello.checkpoint_sweeps) Append(&out, sweep);
@@ -152,7 +151,7 @@ cold::Status DecodeHello(std::string_view payload, HelloPayload* out) {
   if (!cursor.Read(&out->rank) || !cursor.Read(&out->num_nodes) ||
       !cursor.Read(&out->seed) || !cursor.Read(&out->iterations) ||
       !cursor.Read(&out->num_communities) ||
-      !cursor.Read(&out->num_topics) || !cursor.Read(&out->threads) ||
+      !cursor.Read(&out->num_topics) ||
       !cursor.Read(&out->data_fingerprint) || !cursor.Read(&num_sweeps)) {
     return Truncated("hello");
   }

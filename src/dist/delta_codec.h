@@ -3,7 +3,7 @@
 // Every message is one length-prefixed frame:
 //
 //   [0..4)   magic 0x434F4C44 ("COLD")
-//   [4..8)   wire version (1)
+//   [4..8)   wire version (2)
 //   [8..12)  frame type (FrameType)
 //   [12..16) sender rank
 //   [16..24) superstep index the frame belongs to (0 for handshake)
@@ -31,7 +31,7 @@
 namespace cold::dist {
 
 inline constexpr uint32_t kWireMagic = 0x434F4C44;  // "COLD"
-inline constexpr uint32_t kWireVersion = 1;
+inline constexpr uint32_t kWireVersion = 2;
 
 /// Frames exchanged between worker nodes and the rank-0 coordinator.
 enum class FrameType : uint32_t {
@@ -62,7 +62,6 @@ struct HelloPayload {
   int32_t iterations = 0;
   int32_t num_communities = 0;
   int32_t num_topics = 0;
-  int32_t threads = 0;
   uint64_t data_fingerprint = 0;
   std::vector<int32_t> checkpoint_sweeps;
 };

@@ -254,7 +254,6 @@ cold::Status DistTrainer::Handshake(
   self.iterations = config_.cold.iterations;
   self.num_communities = config_.cold.num_communities;
   self.num_topics = config_.cold.num_topics;
-  self.threads = config_.engine.threads_per_node;
   self.data_fingerprint = fingerprint_;
   self.checkpoint_sweeps = local_sweeps;
 
@@ -299,8 +298,7 @@ cold::Status DistTrainer::Handshake(
                hello.seed != self.seed ||
                hello.iterations != self.iterations ||
                hello.num_communities != self.num_communities ||
-               hello.num_topics != self.num_topics ||
-               hello.threads != self.threads) {
+               hello.num_topics != self.num_topics) {
       problem = "run configuration differs from the coordinator's";
     } else if (hello.data_fingerprint != self.data_fingerprint) {
       problem = "training data fingerprint differs from the coordinator's";

@@ -1,21 +1,23 @@
-// The epoll serving core (HttpServer's default mode): a listener thread
-// accepts and round-robins connections across N reactor threads. Each
-// reactor owns one edge-triggered epoll fd and the full state of every
-// connection assigned to it — read buffer, write buffer, parser position —
-// so no lock is ever taken on the request path and a connection costs two
-// strings instead of a parked thread.
+// HttpServer's serving core: a listener thread accepts and round-robins
+// connections across N reactor threads. Each reactor owns one
+// edge-triggered epoll fd and the full state of every connection assigned
+// to it — read buffer, write buffer, parser position — so no lock is ever
+// taken on the request path and a connection costs two strings instead of
+// a parked thread.
 //
 // Per-connection state machine, driven by readiness edges:
 //
 //   readable  -> recv until EAGAIN into `in`
 //             -> parse complete requests off the front of `in`
 //                (serve/http.h's incremental parser), run the handler,
-//                append each response to `out`
+//                append each response to `out` while fewer than
+//                max_buffered_out_bytes are unflushed (backpressure)
 //             -> send `out` until EAGAIN; arm EPOLLOUT only while bytes
 //                remain (edge-triggered writes are otherwise free)
 //   writable  -> resume the same flush/process loop
-//   idle      -> reaped by a periodic sweep after idle_timeout_seconds
-//                (cold/serve/idle_closes)
+//   idle      -> reaped by a periodic sweep once no byte has been read or
+//                flushed for idle_timeout_seconds, which also bounds a
+//                client that stopped reading (cold/serve/idle_closes)
 //   drain     -> responses flip to Connection: close, idle connections
 //                close immediately, stragglers are force-closed at the
 //                drain deadline (cold/serve/connections_force_closed)
@@ -23,6 +25,7 @@
 // Handlers run on the reactor thread: they are expected to be CPU-short
 // (the ModelService fast path is microseconds), so reactor count bounds
 // handler parallelism, not connection count.
+#include <arpa/inet.h>
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
@@ -62,8 +65,6 @@ struct LoopMetrics {
   obs::Counter* idle_closes;
 };
 
-// Same metric names as the blocking core (the registry dedups), so
-// dashboards don't care which serving core is running.
 LoopMetrics& Metrics() {
   auto& registry = obs::Registry::Global();
   static LoopMetrics metrics{
@@ -75,7 +76,43 @@ LoopMetrics& Metrics() {
   return metrics;
 }
 
-class Reactor {
+/// Opens, binds and listens on 127.0.0.1:`port` (0 = ephemeral); returns
+/// the fd and writes the bound port to `*bound_port`.
+cold::Result<int> OpenListener(int port, int* bound_port) {
+  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) {
+    return cold::Status::IOError(std::string("socket: ") +
+                                 std::strerror(errno));
+  }
+  int one = 1;
+  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<uint16_t>(port));
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    cold::Status st =
+        cold::Status::IOError(std::string("bind: ") + std::strerror(errno));
+    ::close(fd);
+    return st;
+  }
+  if (::listen(fd, 512) != 0) {
+    cold::Status st =
+        cold::Status::IOError(std::string("listen: ") + std::strerror(errno));
+    ::close(fd);
+    return st;
+  }
+  socklen_t len = sizeof(addr);
+  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) == 0) {
+    *bound_port = ntohs(addr.sin_port);
+  }
+  return fd;
+}
+
+}  // namespace
+
+class HttpServer::Reactor {
  public:
   Reactor(const HttpServerOptions* options, const HttpHandler* handler,
           std::atomic<int>* active)
@@ -398,153 +435,116 @@ class Reactor {
   Clock::time_point next_sweep_ = Clock::now();
 };
 
-class EpollServerImpl : public HttpServerImpl {
- public:
-  EpollServerImpl(HttpServerOptions options, HttpHandler handler)
-      : options_(std::move(options)), handler_(std::move(handler)) {}
+HttpServer::HttpServer(HttpServerOptions options, HttpHandler handler)
+    : options_(std::move(options)), handler_(std::move(handler)) {}
 
-  ~EpollServerImpl() override { Stop(); }
+HttpServer::~HttpServer() { Stop(); }
 
-  cold::Status Start() override {
-    if (running_.load()) {
-      return cold::Status::FailedPrecondition("already running");
-    }
-    COLD_ASSIGN_OR_RETURN(listen_fd_,
-                          internal::OpenListener(options_.port, &port_));
-    // Non-blocking listener: the accept loop drains the whole backlog per
-    // poll() wakeup and must get EAGAIN, not block, when it runs dry
-    // (accepted fds do not inherit the flag and start out blocking).
-    int lflags = ::fcntl(listen_fd_, F_GETFL, 0);
-    ::fcntl(listen_fd_, F_SETFL, lflags | O_NONBLOCK);
-    int num_reactors = options_.num_reactors;
-    if (num_reactors <= 0) {
-      unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-      num_reactors = static_cast<int>(std::min(hw, 16u));
-    }
-    reactors_.clear();
-    for (int r = 0; r < num_reactors; ++r) {
-      auto reactor = std::make_unique<Reactor>(&options_, &handler_,
-                                               &active_connections_);
-      if (cold::Status st = reactor->Init(); !st.ok()) {
-        reactors_.clear();
-        ::close(listen_fd_);
-        listen_fd_ = -1;
-        return st;
-      }
-      reactors_.push_back(std::move(reactor));
-    }
-    stopping_.store(false, std::memory_order_release);
-    running_.store(true, std::memory_order_release);
-    for (auto& r : reactors_) r->StartThread();
-    accept_thread_ = std::thread([this] { AcceptLoop(); });
-    COLD_LOG(kInfo) << "cold_serve listening on 127.0.0.1:" << port_ << " ("
-                    << num_reactors << " reactors)";
-    return cold::Status::OK();
+cold::Status HttpServer::Start() {
+  if (running_.load()) {
+    return cold::Status::FailedPrecondition("already running");
   }
-
-  void Stop() override {
-    if (!running_.exchange(false)) return;
-    stopping_.store(true, std::memory_order_release);
-    if (accept_thread_.joinable()) accept_thread_.join();
-    if (listen_fd_ >= 0) {
+  COLD_ASSIGN_OR_RETURN(listen_fd_, OpenListener(options_.port, &port_));
+  // Non-blocking listener: the accept loop drains the whole backlog per
+  // poll() wakeup and must get EAGAIN, not block, when it runs dry
+  // (accepted fds do not inherit the flag and start out blocking).
+  int lflags = ::fcntl(listen_fd_, F_GETFL, 0);
+  ::fcntl(listen_fd_, F_SETFL, lflags | O_NONBLOCK);
+  int num_reactors = options_.num_reactors;
+  if (num_reactors <= 0) {
+    unsigned hw = std::max(1u, std::thread::hardware_concurrency());
+    num_reactors = static_cast<int>(std::min(hw, 16u));
+  }
+  reactors_.clear();
+  for (int r = 0; r < num_reactors; ++r) {
+    auto reactor =
+        std::make_unique<Reactor>(&options_, &handler_, &active_connections_);
+    if (cold::Status st = reactor->Init(); !st.ok()) {
+      reactors_.clear();
       ::close(listen_fd_);
       listen_fd_ = -1;
+      return st;
     }
-    for (auto& r : reactors_) r->BeginDrain();
-    const Clock::time_point deadline =
-        Clock::now() + std::chrono::seconds(options_.drain_timeout_seconds);
-    while (active_connections_.load(std::memory_order_relaxed) > 0 &&
-           Clock::now() < deadline) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    }
-    for (auto& r : reactors_) r->RequestExit();
-    for (auto& r : reactors_) r->Join();
-    for (auto& r : reactors_) r->CloseRemaining();
-    reactors_.clear();
-    COLD_LOG(kInfo) << "cold_serve stopped";
+    reactors_.push_back(std::move(reactor));
   }
-
-  int port() const override { return port_; }
-  bool running() const override {
-    return running_.load(std::memory_order_acquire);
-  }
-  int active_connections() const override {
-    return active_connections_.load(std::memory_order_relaxed);
-  }
-
- private:
-  void AcceptLoop() {
-    size_t next_reactor = 0;
-    while (!stopping_.load(std::memory_order_acquire)) {
-      pollfd pfd{listen_fd_, POLLIN, 0};
-      int ready = ::poll(&pfd, 1, 200);
-      if (ready < 0 && errno != EINTR) {
-        COLD_LOG(kWarning) << "accept poll: " << std::strerror(errno);
-      }
-      if (ready <= 0) continue;
-      // Drain the whole accept backlog per readiness wakeup.
-      for (;;) {
-        int fd = ::accept(listen_fd_, nullptr, nullptr);
-        if (fd < 0) {
-          if (errno == EINTR) continue;
-          break;  // EAGAIN (empty backlog) or a transient error.
-        }
-        if (stopping_.load(std::memory_order_acquire)) {
-          ::close(fd);
-          return;
-        }
-        Metrics().connections->Increment();
-
-        // Shedding is the same policy as the blocking core, answered from
-        // the listener thread while the fd is still in blocking mode.
-        if (options_.max_inflight_requests > 0 &&
-            static_cast<size_t>(active_connections_.load(
-                std::memory_order_relaxed)) >=
-                options_.max_inflight_requests) {
-          Metrics().shed->Increment();
-          HttpResponse response =
-              HttpResponse::Error(503, "server overloaded, retry later");
-          response.headers.emplace("Retry-After", "1");
-          WriteHttpResponse(fd, response, /*close_connection=*/true);
-          ::close(fd);
-          continue;
-        }
-
-        int flags = ::fcntl(fd, F_GETFL, 0);
-        ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-        int one = 1;
-        ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-
-        active_connections_.fetch_add(1, std::memory_order_relaxed);
-        reactors_[next_reactor % reactors_.size()]->Enqueue(fd);
-        ++next_reactor;
-      }
-    }
-  }
-
-  const HttpServerOptions options_;
-  const HttpHandler handler_;
-
-  int listen_fd_ = -1;
-  int port_ = 0;
-  std::atomic<bool> running_{false};
-  std::atomic<bool> stopping_{false};
-  std::atomic<int> active_connections_{0};
-
-  std::thread accept_thread_;
-  std::vector<std::unique_ptr<Reactor>> reactors_;
-};
-
-}  // namespace
-
-namespace internal {
-
-std::unique_ptr<HttpServerImpl> MakeEpollServerImpl(HttpServerOptions options,
-                                                    HttpHandler handler) {
-  return std::make_unique<EpollServerImpl>(std::move(options),
-                                           std::move(handler));
+  stopping_.store(false, std::memory_order_release);
+  running_.store(true, std::memory_order_release);
+  for (auto& r : reactors_) r->StartThread();
+  accept_thread_ = std::thread([this] { AcceptLoop(); });
+  COLD_LOG(kInfo) << "cold_serve listening on 127.0.0.1:" << port_ << " ("
+                  << num_reactors << " reactors)";
+  return cold::Status::OK();
 }
 
-}  // namespace internal
+void HttpServer::Stop() {
+  if (!running_.exchange(false)) return;
+  stopping_.store(true, std::memory_order_release);
+  if (accept_thread_.joinable()) accept_thread_.join();
+  if (listen_fd_ >= 0) {
+    ::close(listen_fd_);
+    listen_fd_ = -1;
+  }
+  for (auto& r : reactors_) r->BeginDrain();
+  const Clock::time_point deadline =
+      Clock::now() + std::chrono::seconds(options_.drain_timeout_seconds);
+  while (active_connections_.load(std::memory_order_relaxed) > 0 &&
+         Clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  for (auto& r : reactors_) r->RequestExit();
+  for (auto& r : reactors_) r->Join();
+  for (auto& r : reactors_) r->CloseRemaining();
+  reactors_.clear();
+  COLD_LOG(kInfo) << "cold_serve stopped";
+}
+
+void HttpServer::AcceptLoop() {
+  size_t next_reactor = 0;
+  while (!stopping_.load(std::memory_order_acquire)) {
+    pollfd pfd{listen_fd_, POLLIN, 0};
+    int ready = ::poll(&pfd, 1, 200);
+    if (ready < 0 && errno != EINTR) {
+      COLD_LOG(kWarning) << "accept poll: " << std::strerror(errno);
+    }
+    if (ready <= 0) continue;
+    // Drain the whole accept backlog per readiness wakeup.
+    for (;;) {
+      int fd = ::accept(listen_fd_, nullptr, nullptr);
+      if (fd < 0) {
+        if (errno == EINTR) continue;
+        break;  // EAGAIN (empty backlog) or a transient error.
+      }
+      if (stopping_.load(std::memory_order_acquire)) {
+        ::close(fd);
+        return;
+      }
+      Metrics().connections->Increment();
+
+      // Load shedding: telling the client to back off now (503 +
+      // Retry-After, answered from the listener thread while the fd is
+      // still in blocking mode) beats queueing it behind the pile-up.
+      if (options_.max_inflight_requests > 0 &&
+          static_cast<size_t>(active_connections_.load(
+              std::memory_order_relaxed)) >= options_.max_inflight_requests) {
+        Metrics().shed->Increment();
+        HttpResponse response =
+            HttpResponse::Error(503, "server overloaded, retry later");
+        response.headers.emplace("Retry-After", "1");
+        WriteHttpResponse(fd, response, /*close_connection=*/true);
+        ::close(fd);
+        continue;
+      }
+
+      int flags = ::fcntl(fd, F_GETFL, 0);
+      ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
+      int one = 1;
+      ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+
+      active_connections_.fetch_add(1, std::memory_order_relaxed);
+      reactors_[next_reactor % reactors_.size()]->Enqueue(fd);
+      ++next_reactor;
+    }
+  }
+}
 
 }  // namespace cold::serve

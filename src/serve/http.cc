@@ -46,8 +46,6 @@ cold::Result<bool> FillFromSocket(int fd, std::string* buffer) {
   }
   if (n == 0) return false;
   if (errno == EAGAIN || errno == EWOULDBLOCK) {
-    // Distinct code so servers can tell an idle-timeout reap apart from a
-    // broken socket (cold/serve/idle_closes).
     return cold::Status::DeadlineExceeded("socket read timeout");
   }
   return cold::Status::IOError(std::string("recv: ") + std::strerror(errno));
@@ -237,28 +235,6 @@ cold::Result<HttpParseState> ParseHttpRequest(std::string* buffer,
   buffer->erase(0, body_begin + body_size);
   *out = std::move(request);
   return HttpParseState::kComplete;
-}
-
-cold::Result<HttpRequest> ReadHttpRequest(int fd, std::string* leftover,
-                                          const HttpLimits& limits) {
-  std::string buffer = std::move(*leftover);
-  leftover->clear();
-  while (true) {
-    HttpRequest request;
-    COLD_ASSIGN_OR_RETURN(HttpParseState state,
-                          ParseHttpRequest(&buffer, &request, limits));
-    if (state == HttpParseState::kComplete) {
-      *leftover = std::move(buffer);
-      return request;
-    }
-    COLD_ASSIGN_OR_RETURN(bool more, FillFromSocket(fd, &buffer));
-    if (!more) {
-      if (buffer.empty()) {
-        return cold::Status::NotFound("connection closed");
-      }
-      return cold::Status::InvalidArgument("connection closed mid-request");
-    }
-  }
 }
 
 void AppendHttpResponse(std::string* buffer, const HttpResponse& response,

@@ -1,5 +1,5 @@
-// HTTP/1.1 wire types for the serving layer: request parsing from a
-// blocking socket, response serialization, and a tiny loopback client used
+// HTTP/1.1 wire types for the serving layer: incremental request parsing
+// over a buffer, response serialization, and a tiny loopback client used
 // by tests and examples. Dependency-free (POSIX sockets only).
 //
 // The parser is deliberately strict and bounded: header block and body
@@ -68,25 +68,13 @@ struct HttpLimits {
 enum class HttpParseState { kNeedMore, kComplete };
 
 /// \brief Incremental, socket-free request parse over an accumulated
-/// buffer — the event loop's half of the parser; ReadHttpRequest wraps it
-/// with blocking reads. On kComplete `*out` holds the request and its
-/// bytes are erased from the front of `*buffer` (pipelined bytes remain);
-/// on kNeedMore the buffer is untouched. Malformed or over-limit input
-/// yields InvalidArgument with the same messages as ReadHttpRequest.
+/// buffer. On kComplete `*out` holds the request and its bytes are erased
+/// from the front of `*buffer` (pipelined bytes remain); on kNeedMore the
+/// buffer is untouched. Malformed or over-limit input yields
+/// InvalidArgument.
 cold::Result<HttpParseState> ParseHttpRequest(std::string* buffer,
                                               HttpRequest* out,
                                               const HttpLimits& limits = {});
-
-/// \brief Reads one full request from `fd` (blocking). `leftover` carries
-/// bytes read past the end of a previous request on the same connection
-/// (keep-alive pipelining); it is consumed first and refilled.
-///
-/// Returns NotFound("connection closed") on clean EOF before any bytes of
-/// a request, DeadlineExceeded on a socket read timeout (SO_RCVTIMEO),
-/// IOError on other socket errors, and InvalidArgument on malformed or
-/// over-limit requests.
-cold::Result<HttpRequest> ReadHttpRequest(int fd, std::string* leftover,
-                                          const HttpLimits& limits = {});
 
 /// \brief Serializes `response` onto the end of `*out` — the event loop's
 /// write-buffer path; WriteHttpResponse wraps it with a blocking send.

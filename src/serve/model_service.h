@@ -30,8 +30,8 @@
 // completes.
 //
 // Every /v1/diffusion request, single candidate or fan-out, computes inline
-// on the thread that called Handle (a reactor thread under the epoll
-// core): one cache-assisted Eq. (5) posterior per post, then one
+// on the thread that called Handle (an HttpServer reactor thread): one
+// cache-assisted Eq. (5) posterior per post, then one
 // DiffusionFromPosterior per candidate, so the O(K |w_d|) posterior is
 // computed once per request and shared across its candidates.
 #pragma once

@@ -28,6 +28,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/fault_injector.h"
+#include "util/fileio.h"
 
 namespace cold::dist {
 namespace {
@@ -118,13 +119,16 @@ TEST(DeltaCodecTest, HelloRoundTrip) {
   hello.iterations = 150;
   hello.num_communities = 8;
   hello.num_topics = 12;
-  hello.threads = 2;
   hello.data_fingerprint = 0x123456789abcdef0;
   hello.checkpoint_sweeps = {2, 4, 6};
   HelloPayload decoded;
   ASSERT_TRUE(DecodeHello(EncodeHello(hello), &decoded).ok());
   EXPECT_EQ(decoded.rank, hello.rank);
+  EXPECT_EQ(decoded.num_nodes, hello.num_nodes);
   EXPECT_EQ(decoded.seed, hello.seed);
+  EXPECT_EQ(decoded.iterations, hello.iterations);
+  EXPECT_EQ(decoded.num_communities, hello.num_communities);
+  EXPECT_EQ(decoded.num_topics, hello.num_topics);
   EXPECT_EQ(decoded.data_fingerprint, hello.data_fingerprint);
   EXPECT_EQ(decoded.checkpoint_sweeps, hello.checkpoint_sweeps);
 }
@@ -187,6 +191,44 @@ TEST(DeltaCodecTest, BadMagicRejected) {
   std::string raw(36, '\0');
   ASSERT_TRUE(a->Send(raw.data(), raw.size()).ok());
   EXPECT_FALSE(ReadFrame(b.get()).ok());
+}
+
+/// A version-1 peer's hello (its payload still carries a thread count) is
+/// refused at the frame header, before any payload is decoded.
+TEST(DeltaCodecTest, VersionOneFrameRejected) {
+  std::unique_ptr<Transport> a, b;
+  ASSERT_TRUE(LoopbackPair(&a, &b).ok());
+  auto append32 = [](std::string* out, uint32_t v) {
+    out->append(reinterpret_cast<const char*>(&v), 4);
+  };
+  auto append64 = [](std::string* out, uint64_t v) {
+    out->append(reinterpret_cast<const char*>(&v), 8);
+  };
+  std::string payload;
+  append32(&payload, 1);   // rank
+  append32(&payload, 2);   // num_nodes
+  append64(&payload, 17);  // seed
+  append32(&payload, 8);   // iterations
+  append32(&payload, 4);   // num_communities
+  append32(&payload, 6);   // num_topics
+  append32(&payload, 2);   // threads (version 1 only)
+  append64(&payload, 0);   // data_fingerprint
+  append64(&payload, 0);   // no checkpoint sweeps
+  std::string raw;
+  append32(&raw, kWireMagic);
+  append32(&raw, 1);
+  append32(&raw, static_cast<uint32_t>(FrameType::kHello));
+  append32(&raw, 1);
+  append64(&raw, 0);
+  append64(&raw, payload.size());
+  append32(&raw, cold::Crc32(payload));
+  raw += payload;
+  ASSERT_TRUE(a->Send(raw.data(), raw.size()).ok());
+  auto frame = ReadFrame(b.get());
+  ASSERT_FALSE(frame.ok());
+  EXPECT_NE(frame.status().message().find("unsupported wire version 1"),
+            std::string::npos)
+      << frame.status().ToString();
 }
 
 TEST(DeltaCodecTest, HeartbeatFrameRoundTrip) {
@@ -338,6 +380,28 @@ TEST(DistTrainerTest, BitIdenticalAcrossNodeCounts) {
     EXPECT_EQ(nodes[0]->stats().supersteps_run,
               TestModelConfig().iterations);
   }
+}
+
+/// Worker threads are a per-process choice: ranks running different
+/// thread counts join one cluster and still match the reference.
+TEST(DistTrainerTest, RanksWithDifferentThreadCountsMatchTheReference) {
+  const auto& ds = TestData();
+  core::ParallelColdTrainer reference(TestModelConfig(), ds.posts,
+                                      &ds.interactions);
+  ASSERT_TRUE(reference.Init().ok());
+  ASSERT_TRUE(reference.Train().ok());
+  const core::ColdState expected = reference.StateSnapshot();
+
+  DistConfig config0 = TestDistConfig(2, 0);
+  DistConfig config1 = TestDistConfig(2, 1);
+  config1.engine.threads_per_node = 2;
+  config1.engine.oversubscribe = true;  // Two real workers on any host.
+  DistTrainer node0(config0, ds.posts, &ds.interactions);
+  DistTrainer node1(config1, ds.posts, &ds.interactions);
+  cold::Status st = DistTrainer::RunLocalCluster({&node0, &node1});
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  ExpectStatesEqual(expected, node0.StateSnapshot());
+  ExpectStatesEqual(expected, node1.StateSnapshot());
 }
 
 // ----------------------------------------------------------- liveness ---

@@ -1,16 +1,23 @@
 // Serving-layer tests: JSON parse/serialize, the LRU cache, and the HTTP
 // server driven over a loopback socket — endpoint correctness against
-// direct ColdPredictor calls, concurrent load, hot-reload under load, and
-// malformed input handling.
+// direct ColdPredictor calls, concurrent load, hot-reload under load,
+// malformed input handling, and the event loop's slow-reader defences
+// (pipelining backpressure, reaping a client that stopped reading).
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -24,6 +31,7 @@
 #include "serve/lru_cache.h"
 #include "serve/model_service.h"
 #include "util/logging.h"
+#include "util/net_io.h"
 #include "util/rng.h"
 
 namespace cold::serve {
@@ -203,10 +211,9 @@ bool SameAnswers(const std::vector<double>& got,
   return true;
 }
 
-// Every endpoint/concurrency/reload/shutdown test runs against both
-// serving cores: the epoll event loop and the legacy blocking pool. The
-// two must be observably identical at the HTTP surface.
-class ServeTest : public ::testing::TestWithParam<ServerMode> {
+// Endpoint/concurrency/reload/shutdown tests: each compares what the
+// server answers over a loopback socket with the direct predictor.
+class ServeTest : public ::testing::Test {
  protected:
   void StartServer(ModelServiceOptions service_options = {},
                    uint64_t seed = 7) {
@@ -214,11 +221,8 @@ class ServeTest : public ::testing::TestWithParam<ServerMode> {
     service_ = std::make_unique<ModelService>(service_options);
     service_->SetPredictor(
         std::make_shared<const core::ColdPredictor>(estimates_, 3));
-    HttpServerOptions server_options;
-    server_options.mode = GetParam();
-    server_options.num_workers = 8;
     server_ = std::make_unique<HttpServer>(
-        server_options, [this](const HttpRequest& request) {
+        HttpServerOptions{}, [this](const HttpRequest& request) {
           return service_->Handle(request);
         });
     ASSERT_TRUE(server_->Start().ok());
@@ -248,14 +252,7 @@ class ServeTest : public ::testing::TestWithParam<ServerMode> {
   HttpClient client_;
 };
 
-INSTANTIATE_TEST_SUITE_P(
-    Modes, ServeTest,
-    ::testing::Values(ServerMode::kEpoll, ServerMode::kBlocking),
-    [](const ::testing::TestParamInfo<ServerMode>& info) {
-      return info.param == ServerMode::kEpoll ? "Epoll" : "Blocking";
-    });
-
-TEST_P(ServeTest, HealthzReportsModelDimensions) {
+TEST_F(ServeTest, HealthzReportsModelDimensions) {
   StartServer();
   auto response = client_.Get("/healthz");
   ASSERT_TRUE(response.ok()) << response.status().ToString();
@@ -267,7 +264,7 @@ TEST_P(ServeTest, HealthzReportsModelDimensions) {
             estimates_.V);
 }
 
-TEST_P(ServeTest, DiffusionMatchesDirectPredictor) {
+TEST_F(ServeTest, DiffusionMatchesDirectPredictor) {
   StartServer();
   core::ColdPredictor direct(estimates_, 3);
   std::vector<text::WordId> words = {1, 5, 9};
@@ -285,7 +282,7 @@ TEST_P(ServeTest, DiffusionMatchesDirectPredictor) {
   }
 }
 
-TEST_P(ServeTest, DiffusionFanOutMatchesDirectPredictor) {
+TEST_F(ServeTest, DiffusionFanOutMatchesDirectPredictor) {
   StartServer();
   core::ColdPredictor direct(estimates_, 3);
   std::vector<text::WordId> words = {0, 3};
@@ -301,7 +298,7 @@ TEST_P(ServeTest, DiffusionFanOutMatchesDirectPredictor) {
   }
 }
 
-TEST_P(ServeTest, TopicPosteriorMatchesDirectPredictor) {
+TEST_F(ServeTest, TopicPosteriorMatchesDirectPredictor) {
   StartServer();
   core::ColdPredictor direct(estimates_, 3);
   std::vector<text::WordId> words = {2, 7, 11};
@@ -316,7 +313,7 @@ TEST_P(ServeTest, TopicPosteriorMatchesDirectPredictor) {
   }
 }
 
-TEST_P(ServeTest, LinkMatchesDirectPredictor) {
+TEST_F(ServeTest, LinkMatchesDirectPredictor) {
   StartServer();
   core::ColdPredictor direct(estimates_, 3);
   Json body = PostJson("/v1/link", R"({"source": 1, "target": 9})");
@@ -324,7 +321,7 @@ TEST_P(ServeTest, LinkMatchesDirectPredictor) {
               direct.LinkProbability(1, 9), 1e-9);
 }
 
-TEST_P(ServeTest, TimestampMatchesDirectPredictor) {
+TEST_F(ServeTest, TimestampMatchesDirectPredictor) {
   StartServer();
   core::ColdPredictor direct(estimates_, 3);
   std::vector<text::WordId> words = {4, 8};
@@ -340,7 +337,7 @@ TEST_P(ServeTest, TimestampMatchesDirectPredictor) {
   }
 }
 
-TEST_P(ServeTest, InfluentialCommunitiesRanksAll) {
+TEST_F(ServeTest, InfluentialCommunitiesRanksAll) {
   StartServer();
   auto response =
       client_.Get("/v1/influential_communities?topic=1&n=3&trials=16");
@@ -359,7 +356,7 @@ TEST_P(ServeTest, InfluentialCommunitiesRanksAll) {
   EXPECT_EQ(bad->status_code, 422);
 }
 
-TEST_P(ServeTest, MalformedInputsReturn4xxNotCrash) {
+TEST_F(ServeTest, MalformedInputsReturn4xxNotCrash) {
   StartServer();
   // Malformed JSON body.
   auto r1 = client_.Post("/v1/diffusion", "{not json");
@@ -399,7 +396,7 @@ TEST_P(ServeTest, MalformedInputsReturn4xxNotCrash) {
   EXPECT_EQ(still_ok->status_code, 200);
 }
 
-TEST_P(ServeTest, MetricsEndpointExposesServeFamilies) {
+TEST_F(ServeTest, MetricsEndpointExposesServeFamilies) {
   StartServer();
   (void)PostJson("/v1/diffusion",
                  R"({"publisher": 0, "candidate": 1, "words": [2]})");
@@ -417,7 +414,7 @@ TEST_P(ServeTest, MetricsEndpointExposesServeFamilies) {
             std::string::npos);
 }
 
-TEST_P(ServeTest, DebugVarsExposesTelemetryWithQuantiles) {
+TEST_F(ServeTest, DebugVarsExposesTelemetryWithQuantiles) {
   StartServer();
   // Prime the request-latency histograms so quantiles have mass.
   for (int i = 0; i < 20; ++i) {
@@ -461,7 +458,7 @@ TEST_P(ServeTest, DebugVarsExposesTelemetryWithQuantiles) {
   EXPECT_TRUE(found_request_seconds);
 }
 
-TEST_P(ServeTest, SlowRequestLogRecordsMethodPathLatencyAndBatchSize) {
+TEST_F(ServeTest, SlowRequestLogRecordsMethodPathLatencyAndBatchSize) {
   ModelServiceOptions options;
   options.slow_request_ms = 1;  // lowest enabled threshold
   StartServer(options);
@@ -516,7 +513,7 @@ TEST_P(ServeTest, SlowRequestLogRecordsMethodPathLatencyAndBatchSize) {
             1);
 }
 
-TEST_P(ServeTest, SlowRequestLogDisabledByDefault) {
+TEST_F(ServeTest, SlowRequestLogDisabledByDefault) {
   StartServer();  // slow_request_ms = 0: never logs
   static std::mutex log_mutex;
   static bool saw_slow = false;
@@ -535,7 +532,7 @@ TEST_P(ServeTest, SlowRequestLogDisabledByDefault) {
   EXPECT_FALSE(saw_slow);
 }
 
-TEST_P(ServeTest, PosteriorCacheHitsOnRepeatQueries) {
+TEST_F(ServeTest, PosteriorCacheHitsOnRepeatQueries) {
   ModelServiceOptions options;
   options.posterior_cache_capacity = 64;
   StartServer(options);
@@ -548,7 +545,7 @@ TEST_P(ServeTest, PosteriorCacheHitsOnRepeatQueries) {
   EXPECT_GE(hits->Value() - before, 4);
 }
 
-TEST_P(ServeTest, ConcurrentRequestsAllSucceedAndAgree) {
+TEST_F(ServeTest, ConcurrentRequestsAllSucceedAndAgree) {
   StartServer();
   core::ColdPredictor direct(estimates_, 3);
   std::vector<text::WordId> words = {1, 2, 3};
@@ -594,7 +591,7 @@ TEST_P(ServeTest, ConcurrentRequestsAllSucceedAndAgree) {
   EXPECT_EQ(failures.load(), 0);
 }
 
-TEST_P(ServeTest, HotReloadUnderLoadServesOneOfTwoModels) {
+TEST_F(ServeTest, HotReloadUnderLoadServesOneOfTwoModels) {
   StartServer();
   // Two distinct snapshots on disk, named per process: ctest -j runs the
   // Epoll and Blocking instances at once, and each rewrites and deletes
@@ -701,19 +698,8 @@ TEST_P(ServeTest, HotReloadUnderLoadServesOneOfTwoModels) {
   fs::remove(path_b);
 }
 
-class LoadSheddingTest : public ::testing::TestWithParam<ServerMode> {};
-
-INSTANTIATE_TEST_SUITE_P(
-    Modes, LoadSheddingTest,
-    ::testing::Values(ServerMode::kEpoll, ServerMode::kBlocking),
-    [](const ::testing::TestParamInfo<ServerMode>& info) {
-      return info.param == ServerMode::kEpoll ? "Epoll" : "Blocking";
-    });
-
-TEST_P(LoadSheddingTest, ExcessConnectionsGet503WithRetryAfter) {
+TEST(LoadSheddingTest, ExcessConnectionsGet503WithRetryAfter) {
   HttpServerOptions options;
-  options.mode = GetParam();
-  options.num_workers = 2;
   options.max_inflight_requests = 1;
   HttpServer server(options, [](const HttpRequest&) {
     return HttpResponse::Text(200, "{\"ok\": true}", "application/json");
@@ -758,7 +744,7 @@ TEST_P(LoadSheddingTest, ExcessConnectionsGet503WithRetryAfter) {
   server.Stop();
 }
 
-TEST_P(ServeTest, GracefulShutdownDrainsInFlight) {
+TEST_F(ServeTest, GracefulShutdownDrainsInFlight) {
   StartServer();
   std::atomic<int> completed{0};
   std::thread load([this, &completed] {
@@ -1043,7 +1029,6 @@ TEST_F(ArenaServeTest, ShardedReplicasAnswerByteIdenticalToSingleReplica) {
 
 TEST(IdleTimeoutTest, EventLoopReapsIdleConnections) {
   HttpServerOptions options;
-  options.mode = ServerMode::kEpoll;
   options.idle_timeout_seconds = 1;
   HttpServer server(options, [](const HttpRequest&) {
     return HttpResponse::Text(200, "{}", "application/json");
@@ -1079,6 +1064,148 @@ TEST(IdleTimeoutTest, EventLoopReapsIdleConnections) {
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
   EXPECT_EQ(recovered->status_code, 200);
   server.Stop();
+}
+
+// ---------------------------------------------------------------------------
+// Slow readers: a client that pipelines requests but does not read its
+// responses is held to max_buffered_out_bytes of queued output, and a
+// client that never reads again is reaped by the idle sweep.
+
+constexpr int kPipelined = 400;
+constexpr size_t kResponsePadding = 32 * 1024;
+
+/// One reactor, a 64 KiB output cap, and a handler whose 32 KiB responses
+/// echo the request path; counts every request it answers.
+class SlowReaderTest : public ::testing::Test {
+ protected:
+  void StartServer(int idle_timeout_seconds) {
+    HttpServerOptions options;
+    options.num_reactors = 1;
+    options.max_buffered_out_bytes = 64 * 1024;
+    options.idle_timeout_seconds = idle_timeout_seconds;
+    server_ = std::make_unique<HttpServer>(
+        options, [this](const HttpRequest& request) {
+          handled_.fetch_add(1);
+          return HttpResponse::Text(
+              200, request.path + std::string(kResponsePadding, 'x'));
+        });
+    ASSERT_TRUE(server_->Start().ok());
+  }
+
+  /// Connects with a 4 KiB receive buffer (set before connect, so the
+  /// advertised window stays small) and writes kPipelined GETs, /r0 ..
+  /// /r399, without reading anything back.
+  void ConnectAndPipeline() {
+    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(fd_, 0);
+    int rcvbuf = 4096;
+    ::setsockopt(fd_, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf));
+    timeval tv{};
+    tv.tv_sec = 5;
+    ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(static_cast<uint16_t>(server_->port()));
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    ASSERT_EQ(
+        ::connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+    std::string requests;
+    for (int i = 0; i < kPipelined; ++i) {
+      requests += "GET /r";
+      requests += std::to_string(i);
+      requests += " HTTP/1.1\r\nHost: l\r\n\r\n";
+    }
+    ASSERT_TRUE(cold::WriteFull(fd_, requests.data(), requests.size()).ok());
+  }
+
+  /// Polls the handler count until it has not moved for 300 ms.
+  int SettledHandledCount() {
+    int last = -1;
+    int stable_polls = 0;
+    for (int i = 0; i < 500 && stable_polls < 15; ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      const int now = handled_.load();
+      stable_polls = (now == last && now > 0) ? stable_polls + 1 : 0;
+      last = now;
+    }
+    return last;
+  }
+
+  /// Receives until `*in` holds one whole response, then erases it from
+  /// `*in` and returns its body; nullopt when the socket ends first.
+  std::optional<std::string> NextResponseBody(std::string* in) {
+    char chunk[16384];
+    for (;;) {
+      const size_t head_end = in->find("\r\n\r\n");
+      if (head_end != std::string::npos) {
+        const size_t length_at = in->find("Content-Length: ") + 16;
+        const size_t body_size = static_cast<size_t>(
+            std::strtoul(in->c_str() + length_at, nullptr, 10));
+        if (in->size() >= head_end + 4 + body_size) {
+          std::string body = in->substr(head_end + 4, body_size);
+          in->erase(0, head_end + 4 + body_size);
+          return body;
+        }
+      }
+      ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
+      if (n <= 0) return std::nullopt;
+      in->append(chunk, static_cast<size_t>(n));
+    }
+  }
+
+  void TearDown() override {
+    if (fd_ >= 0) ::close(fd_);
+    if (server_ != nullptr) server_->Stop();
+  }
+
+  std::atomic<int> handled_{0};  // Outlives server_, whose handler bumps it.
+  std::unique_ptr<HttpServer> server_;
+  int fd_ = -1;
+};
+
+TEST_F(SlowReaderTest, PipelinedRequestsWaitBehindTheOutputCapUntilRead) {
+  ASSERT_NO_FATAL_FAILURE(StartServer(/*idle_timeout_seconds=*/30));
+  ASSERT_NO_FATAL_FAILURE(ConnectAndPipeline());
+
+  // Nothing is read, so the socket buffers fill and the connection's
+  // output reaches the cap: the remaining requests stay unparsed. (The 12.5
+  // MiB of responses exceed what the kernel buffers, whose send side grows
+  // to at most tcp_wmem's 4 MiB by default.)
+  const int parked = SettledHandledCount();
+  EXPECT_GT(parked, 0);
+  EXPECT_LT(parked, kPipelined);
+
+  // Reading releases them: every response arrives, in request order.
+  std::string in;
+  for (int i = 0; i < kPipelined; ++i) {
+    std::optional<std::string> body = NextResponseBody(&in);
+    ASSERT_TRUE(body.has_value()) << "connection ended after " << i;
+    ASSERT_EQ(*body, "/r" + std::to_string(i) +
+                         std::string(kResponsePadding, 'x'));
+  }
+  EXPECT_TRUE(in.empty());
+  EXPECT_EQ(handled_.load(), kPipelined);
+}
+
+TEST_F(SlowReaderTest, ClientThatStopsReadingIsReaped) {
+  ASSERT_NO_FATAL_FAILURE(StartServer(/*idle_timeout_seconds=*/1));
+  auto* idle_closes =
+      obs::Registry::Global().GetCounter("cold/serve/idle_closes");
+  const int64_t before = idle_closes->Value();
+  ASSERT_NO_FATAL_FAILURE(ConnectAndPipeline());
+
+  // The stalled flush makes no progress, so the idle sweep closes the
+  // connection; its unparsed requests are never answered.
+  bool reaped = false;
+  for (int i = 0; i < 500 && !reaped; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    reaped =
+        idle_closes->Value() > before && server_->active_connections() == 0;
+  }
+  EXPECT_TRUE(reaped);
+  EXPECT_GE(idle_closes->Value() - before, 1);
+  EXPECT_EQ(server_->active_connections(), 0);
+  EXPECT_LT(handled_.load(), kPipelined);
 }
 
 }  // namespace

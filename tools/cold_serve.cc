@@ -4,15 +4,16 @@
 // serves the JSON inference API over HTTP/1.1 from an epoll event loop.
 //
 // Usage: cold_serve <model> [--port N] [--reactors N] [--replicas N]
-//                   [--idle-timeout-seconds N] [--blocking] [--workers N]
-//                   [--cache N] [--cache-shards N]
-//                   [--top-communities N] [--max-inflight N]
-//                   [--slow-request-ms N]
+//                   [--idle-timeout-seconds N] [--cache N]
+//                   [--cache-shards N] [--top-communities N]
+//                   [--max-inflight N] [--slow-request-ms N]
 //
 // --reactors picks the event-loop thread count (0 = one per hardware
-// thread, capped at 16); --blocking falls back to the legacy
-// thread-per-connection core sized by --workers. --replicas shards
-// queries across N predictor replicas by the author's home community;
+// thread, capped at 16). --idle-timeout-seconds closes a connection on
+// which no byte has moved either way for N seconds (0 = never): a
+// keep-alive client idle between requests, or one that stopped reading its
+// responses. --replicas shards queries across N predictor replicas by the
+// author's home community;
 // arena snapshots share one mmap across all replicas. Every request is
 // answered on the thread that parsed it; a /v1/diffusion fan-out computes
 // its post's topic posterior once and scores each candidate against it.
@@ -60,8 +61,8 @@ void OnSignal(int sig) {
 int Usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s <model> [--port N=8080] [--reactors N=0] "
-               "[--replicas N=1] [--idle-timeout-seconds N=5] [--blocking] "
-               "[--workers N=8] [--cache N=4096] [--cache-shards N=8] "
+               "[--replicas N=1] [--idle-timeout-seconds N=5] "
+               "[--cache N=4096] [--cache-shards N=8] "
                "[--top-communities N=5] [--max-inflight N=0] "
                "[--slow-request-ms N=0]\n",
                argv0);
@@ -89,12 +90,10 @@ int main(int argc, char** argv) {
 
   std::string model_path = argv[1];
   int port = 8080;
-  int workers = 8;
   int reactors = 0;
   int replicas = 1;
   int idle_timeout = 5;
   int cache_shards = 8;
-  bool blocking = false;
   int cache = 4096;
   int top_communities = 5;
   int max_inflight = 0;
@@ -107,8 +106,6 @@ int main(int argc, char** argv) {
     };
     if (std::strcmp(arg, "--port") == 0) {
       if (!next(0, 65535, &port)) return Usage(argv[0]);
-    } else if (std::strcmp(arg, "--workers") == 0) {
-      if (!next(1, 1024, &workers)) return Usage(argv[0]);
     } else if (std::strcmp(arg, "--reactors") == 0) {
       if (!next(0, 1024, &reactors)) return Usage(argv[0]);
     } else if (std::strcmp(arg, "--replicas") == 0) {
@@ -117,8 +114,6 @@ int main(int argc, char** argv) {
       if (!next(0, 86400, &idle_timeout)) return Usage(argv[0]);
     } else if (std::strcmp(arg, "--cache-shards") == 0) {
       if (!next(1, 4096, &cache_shards)) return Usage(argv[0]);
-    } else if (std::strcmp(arg, "--blocking") == 0) {
-      blocking = true;
     } else if (std::strcmp(arg, "--cache") == 0) {
       if (!next(0, 1 << 24, &cache)) return Usage(argv[0]);
     } else if (std::strcmp(arg, "--top-communities") == 0) {
@@ -149,9 +144,6 @@ int main(int argc, char** argv) {
 
   serve::HttpServerOptions server_options;
   server_options.port = port;
-  server_options.mode = blocking ? serve::ServerMode::kBlocking
-                                 : serve::ServerMode::kEpoll;
-  server_options.num_workers = static_cast<size_t>(workers);
   server_options.num_reactors = reactors;
   server_options.idle_timeout_seconds = idle_timeout;
   server_options.max_inflight_requests = static_cast<size_t>(max_inflight);

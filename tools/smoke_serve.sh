@@ -3,12 +3,14 @@
 #
 #   cold_generate -> cold_train (--arena-out) -> cold_serve -> curl
 #
-# Drives the epoll serving core over an mmap'd COLDARN1 arena snapshot
+# Drives the serving event loop over an mmap'd COLDARN1 arena snapshot
 # with two reactors and two replicas: N sequential /v1/diffusion POSTs
-# must all return HTTP 200, a hot reload is triggered mid-load (SIGHUP
-# and /admin/reload), /metrics must report a request count consistent
-# with the load, and the reload swap stall measured by
-# cold/serve/reload_swap_seconds must stay under a generous bound.
+# must all return HTTP 200, two hot reloads must land (a POST
+# /admin/reload probe takes the model to generation 2, a SIGHUP sent
+# during the load to generation 3), /metrics must report a request count
+# consistent with the load, and the reload swap stall measured by
+# cold/serve/reload_swap_seconds must stay under a generous bound. The
+# removed --blocking flag must exit 2.
 #
 # Usage: tools/smoke_serve.sh [build-dir] [num-requests]
 set -euo pipefail
@@ -42,6 +44,13 @@ echo "== generate + train a small model =="
 "${BUILD_DIR}/tools/cold_train" "${WORK_DIR}/data" "${WORK_DIR}/model.bin" \
   4 6 40 --arena-out "${WORK_DIR}/model.arena" || die "cold_train"
 [[ -s "${WORK_DIR}/model.arena" ]] || die "no arena snapshot written"
+
+echo "== removed flag is rejected =="
+RC=0
+timeout 10 "${BUILD_DIR}/tools/cold_serve" "${WORK_DIR}/model.arena" \
+  --port 0 --blocking >/dev/null 2>&1 || RC=$?
+[[ "${RC}" -eq 2 ]] || die "cold_serve --blocking exited ${RC}, wanted 2"
+echo "  ok --blocking exits 2"
 
 echo "== start cold_serve (epoll, arena snapshot, 2 reactors, 2 replicas) =="
 "${BUILD_DIR}/tools/cold_serve" "${WORK_DIR}/model.arena" --port 0 \
@@ -109,7 +118,7 @@ write-out = "%{http_code}\n"'
     printf 'next\n%s\n' "${BLOCK}"
   done
 } >"${CONFIG}"
-( sleep 1; kill -HUP "${SERVE_PID}" ) &  # hot reload mid-load
+( sleep 0.1; kill -HUP "${SERVE_PID}" ) &  # hot reload during the load
 HUP_WAITER=$!
 CODES="$(curl -s -K "${CONFIG}")" || die "bulk curl failed"
 wait "${HUP_WAITER}" 2>/dev/null || true
@@ -118,7 +127,21 @@ TOTAL="$(echo "${CODES}" | wc -l)"
 [[ "${TOTAL}" -eq "${NUM_REQUESTS}" ]] \
   || die "expected ${NUM_REQUESTS} responses, saw ${TOTAL}"
 [[ "${NON_200}" -eq 0 ]] || die "${NON_200}/${TOTAL} non-200 responses"
-echo "  ${TOTAL}/${TOTAL} returned 200 (hot reload fired mid-load)"
+echo "  ${TOTAL}/${TOTAL} returned 200"
+
+echo "== the SIGHUP reload lands (generation 3) =="
+# Loading the model was generation 1 and the /admin/reload probe 2; the
+# serving loop polls for SIGHUP every 100 ms.
+GENERATION=0
+for _ in $(seq 1 50); do
+  GENERATION="$(curl -s "${BASE}/healthz" \
+    | sed -n 's/.*"generation": *\([0-9]*\).*/\1/p')"
+  [[ "${GENERATION:-0}" -ge 3 ]] && break
+  sleep 0.1
+done
+[[ "${GENERATION:-0}" -ge 3 ]] \
+  || die "SIGHUP reload never landed: generation ${GENERATION:-none}"
+echo "  generation ${GENERATION}"
 
 echo "== /metrics consistency =="
 curl -s "${BASE}/metrics" >"${WORK_DIR}/metrics.txt" || die "GET /metrics"
@@ -140,30 +163,36 @@ echo "== /debug/vars exposes parseable telemetry with quantiles =="
 curl -s "${BASE}/debug/vars" >"${WORK_DIR}/debug_vars.json" \
   || die "GET /debug/vars"
 if command -v python3 >/dev/null; then
-  python3 - "${WORK_DIR}/debug_vars.json" <<'PYEOF' || die "/debug/vars invalid"
+  python3 - "${WORK_DIR}/debug_vars.json" "${NUM_REQUESTS}" <<'PYEOF' \
+    || die "/debug/vars invalid"
 import json, sys
 with open(sys.argv[1]) as f:
     vars = json.load(f)
+n_requests = int(sys.argv[2])
 assert vars["model_loaded"] is True, "model_loaded not true"
 assert "generation" in vars, "missing generation"
-assert vars["generation"] >= 2, f"SIGHUP reload never landed: {vars['generation']}"
+assert vars["generation"] >= 3, f"SIGHUP reload never landed: {vars['generation']}"
 assert vars["snapshot_format"] == "coldarn1", \
     f"not serving from the arena: {vars.get('snapshot_format')}"
 assert vars["replicas"] == 2, f"replica count: {vars.get('replicas')}"
 hists = vars["telemetry"]["histograms"]
 assert hists, "no histograms exported"
 by_name = {h["name"]: h for h in hists}
-latency = by_name["cold/serve/request_seconds"]
+# request_seconds has one series per endpoint; the load hit diffusion.
+latency = next(h for h in hists
+               if h["name"] == "cold/serve/request_seconds"
+               and h["labels"].get("endpoint") == "diffusion")
+assert latency["count"] >= n_requests, f"diffusion latencies: {latency['count']}"
 q = latency["quantiles"]
 for key in ("p50", "p90", "p99"):
     assert key in q, f"missing quantile {key}"
     assert q[key] is None or q[key] > 0, f"{key} not positive: {q[key]}"
 assert q["p99"] is not None, "p99 null despite load"
-print(f"  request_seconds p50={q['p50']:.6f}s p99={q['p99']:.6f}s")
+print(f"  diffusion request_seconds p50={q['p50']:.6f}s p99={q['p99']:.6f}s")
 swap = by_name["cold/serve/reload_swap_seconds"]["quantiles"]
 assert swap["p99"] is not None, "no reload swap samples despite SIGHUP"
-# The swap is one atomic pointer store; tens of microseconds even on a
-# loaded box. 10ms is the deliberately generous smoke bound.
+# The swap is one pointer swap under a mutex; tens of microseconds even
+# on a loaded box. 10ms is the deliberately generous smoke bound.
 assert swap["p99"] < 0.010, f"reload swap stall too high: {swap['p99']}s"
 print(f"  reload_swap_seconds p99={swap['p99'] * 1e6:.1f}us (bound 10ms)")
 PYEOF
