@@ -1,6 +1,6 @@
 // Scenario: embedding the serving layer in your own process. A small COLD
-// model is trained on synthetic data, saved as a COLDEST1 snapshot, and
-// served over loopback HTTP by ModelService + HttpServer; the bundled
+// model is trained on synthetic data, saved as a COLDARN1 arena (the file
+// cold_train writes), and served over loopback HTTP by ModelService + HttpServer; the bundled
 // HttpClient then plays the role of a downstream consumer — scoring
 // diffusion candidates (Eq. 7), inspecting a topic posterior (Eq. 5),
 // ranking influential communities (§6.6), and finally triggering an
@@ -71,14 +71,15 @@ int main() {
 
   // --- Offline half: train and snapshot a model (normally cold_train). ---
   const std::string snapshot =
-      (std::filesystem::temp_directory_path() / "serving_client_model.bin")
+      (std::filesystem::temp_directory_path() / "serving_client_model.arena")
           .string();
   core::ColdEstimates estimates = TrainSmallModel();
-  CheckOk(core::SaveEstimates(estimates, snapshot), "SaveEstimates");
+  CheckOk(core::SaveArenaSnapshot(estimates, /*top_communities=*/5, snapshot),
+          "SaveArenaSnapshot");
   std::printf("snapshot: %s (U=%d C=%d K=%d)\n\n", snapshot.c_str(),
               estimates.U, estimates.C, estimates.K);
 
-  // --- Online half: load the snapshot and serve it over loopback. -------
+  // --- Online half: map the arena and serve it over loopback. -----------
   serve::ModelServiceOptions service_options;
   service_options.model_path = snapshot;
   serve::ModelService service(service_options);

@@ -4,123 +4,12 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
-#include <fstream>
 #include <string_view>
 #include <vector>
 
 #include "util/fileio.h"
 
 namespace cold::core {
-
-namespace {
-constexpr char kMagic[8] = {'C', 'O', 'L', 'D', 'E', 'S', 'T', '1'};
-
-cold::Status WriteArray(std::ofstream& out, const std::vector<double>& data) {
-  out.write(reinterpret_cast<const char*>(data.data()),
-            static_cast<std::streamsize>(data.size() * sizeof(double)));
-  if (!out.good()) return cold::Status::IOError("short write");
-  return cold::Status::OK();
-}
-
-cold::Status ReadArray(std::ifstream& in, size_t n,
-                       std::vector<double>* data) {
-  data->resize(n);
-  in.read(reinterpret_cast<char*>(data->data()),
-          static_cast<std::streamsize>(n * sizeof(double)));
-  if (in.gcount() != static_cast<std::streamsize>(n * sizeof(double))) {
-    return cold::Status::IOError("truncated parameter array");
-  }
-  return cold::Status::OK();
-}
-
-/// A snapshot holding NaN/Inf would poison every downstream prediction
-/// (and serve them to clients), so corruption is rejected at load time.
-cold::Status CheckFinite(const std::vector<double>& data, const char* name) {
-  for (size_t i = 0; i < data.size(); ++i) {
-    if (!std::isfinite(data[i])) {
-      return cold::Status::IOError("non-finite value in parameter array '" +
-                                   std::string(name) + "' at index " +
-                                   std::to_string(i));
-    }
-  }
-  return cold::Status::OK();
-}
-}  // namespace
-
-cold::Status SaveEstimates(const ColdEstimates& estimates,
-                           const std::string& path) {
-  if (estimates.U < 0 || estimates.C < 1 || estimates.K < 1 ||
-      estimates.T < 1 || estimates.V < 1) {
-    return cold::Status::InvalidArgument("estimates have invalid dimensions");
-  }
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out.is_open()) {
-    return cold::Status::IOError("cannot open for write: " + path);
-  }
-  out.write(kMagic, sizeof(kMagic));
-  int32_t dims[5] = {estimates.U, estimates.C, estimates.K, estimates.T,
-                     estimates.V};
-  out.write(reinterpret_cast<const char*>(dims), sizeof(dims));
-  COLD_RETURN_NOT_OK(WriteArray(out, estimates.pi));
-  COLD_RETURN_NOT_OK(WriteArray(out, estimates.theta));
-  COLD_RETURN_NOT_OK(WriteArray(out, estimates.eta));
-  COLD_RETURN_NOT_OK(WriteArray(out, estimates.phi));
-  COLD_RETURN_NOT_OK(WriteArray(out, estimates.psi));
-  out.flush();
-  if (!out.good()) return cold::Status::IOError("flush failed: " + path);
-  return cold::Status::OK();
-}
-
-cold::Result<ColdEstimates> LoadEstimates(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) {
-    return cold::Status::IOError("cannot open for read: " + path);
-  }
-  char magic[8];
-  in.read(magic, sizeof(magic));
-  if (in.gcount() != sizeof(magic) ||
-      std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
-    return cold::Status::IOError("bad magic: not a COLD estimates file");
-  }
-  int32_t dims[5];
-  in.read(reinterpret_cast<char*>(dims), sizeof(dims));
-  if (in.gcount() != sizeof(dims)) {
-    return cold::Status::IOError("truncated header");
-  }
-  ColdEstimates est;
-  est.U = dims[0];
-  est.C = dims[1];
-  est.K = dims[2];
-  est.T = dims[3];
-  est.V = dims[4];
-  if (est.U < 0 || est.C < 1 || est.K < 1 || est.T < 1 || est.V < 1 ||
-      est.U > (1 << 28) || est.C > (1 << 20) || est.K > (1 << 20) ||
-      est.T > (1 << 20) || est.V > (1 << 28)) {
-    return cold::Status::IOError("implausible dimensions in header");
-  }
-  COLD_RETURN_NOT_OK(
-      ReadArray(in, static_cast<size_t>(est.U) * est.C, &est.pi));
-  COLD_RETURN_NOT_OK(
-      ReadArray(in, static_cast<size_t>(est.C) * est.K, &est.theta));
-  COLD_RETURN_NOT_OK(
-      ReadArray(in, static_cast<size_t>(est.C) * est.C, &est.eta));
-  COLD_RETURN_NOT_OK(
-      ReadArray(in, static_cast<size_t>(est.K) * est.V, &est.phi));
-  COLD_RETURN_NOT_OK(
-      ReadArray(in, static_cast<size_t>(est.K) * est.C * est.T, &est.psi));
-  // Must now be at EOF.
-  char extra;
-  in.read(&extra, 1);
-  if (in.gcount() != 0) {
-    return cold::Status::IOError("trailing bytes after parameter arrays");
-  }
-  COLD_RETURN_NOT_OK(CheckFinite(est.pi, "pi"));
-  COLD_RETURN_NOT_OK(CheckFinite(est.theta, "theta"));
-  COLD_RETURN_NOT_OK(CheckFinite(est.eta, "eta"));
-  COLD_RETURN_NOT_OK(CheckFinite(est.phi, "phi"));
-  COLD_RETURN_NOT_OK(CheckFinite(est.psi, "psi"));
-  return est;
-}
 
 namespace {
 
@@ -180,6 +69,16 @@ cold::Status SaveArenaSnapshot(const ColdEstimates& estimates,
       estimates.T < 1 || estimates.V < 1) {
     return cold::Status::InvalidArgument("estimates have invalid dimensions");
   }
+  const size_t U = static_cast<size_t>(estimates.U);
+  const size_t C = static_cast<size_t>(estimates.C);
+  const size_t K = static_cast<size_t>(estimates.K);
+  if (estimates.pi.size() != U * C || estimates.theta.size() != C * K ||
+      estimates.eta.size() != C * C ||
+      estimates.phi.size() != K * static_cast<size_t>(estimates.V) ||
+      estimates.psi.size() != K * C * static_cast<size_t>(estimates.T)) {
+    return cold::Status::InvalidArgument(
+        "estimates arrays do not match their dimensions");
+  }
   if (top_communities < 1) {
     return cold::Status::InvalidArgument("top_communities must be >= 1");
   }
@@ -190,7 +89,10 @@ cold::Status SaveArenaSnapshot(const ColdEstimates& estimates,
 
   std::string blob(kArenaHeaderBytes + layout.payload_bytes, '\0');
   char* payload = blob.data() + kArenaHeaderBytes;
+  // An empty vector's data() may be null, which memcpy must never see
+  // (a U=0 model has an empty pi).
   auto copy_doubles = [&](size_t off, const std::vector<double>& src) {
+    if (src.empty()) return;
     std::memcpy(payload + off, src.data(), src.size() * sizeof(double));
   };
   copy_doubles(layout.pi, estimates.pi);
@@ -307,15 +209,6 @@ cold::Result<ArenaView> ValidateArena(const void* data, size_t size) {
     }
   }
   return out;
-}
-
-bool IsArenaFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) return false;
-  char magic[sizeof(kArenaMagic)];
-  in.read(magic, sizeof(magic));
-  return in.gcount() == sizeof(magic) &&
-         std::memcmp(magic, kArenaMagic, sizeof(kArenaMagic)) == 0;
 }
 
 }  // namespace cold::core

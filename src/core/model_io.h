@@ -1,20 +1,15 @@
 // Serialization of fitted ColdEstimates, so a model trained once can be
 // shipped to prediction services (the offline/online split of §5.2).
 //
-// Two formats:
-//
-//  - "COLDEST1" (legacy): magic, five int32 dims (U, C, K, T, V), then the
-//    five parameter arrays as little-endian doubles in declaration order
-//    (pi, theta, eta, phi, psi). Loaded by copy into std::vectors.
-//
-//  - "COLDARN1" (snapshot arena): a flat, pointer-free, CRC-checked layout
-//    designed to be mapped read-only and served zero-copy. A 64-byte
-//    header (magic, version, dims, top_m, payload CRC-32, payload size,
-//    header CRC-32) is followed by the five parameter arrays plus the
-//    precomputed per-user TopComm table (§5.2's offline artifact) as flat
-//    int32 rows, every section 64-byte aligned. Because TopComm ships in
-//    the file, opening an arena requires no per-user work — a serving
-//    hot-reload is validate + mmap + pointer swap.
+// One format, "COLDARN1" (snapshot arena): a flat, pointer-free,
+// CRC-checked layout designed to be mapped read-only and served zero-copy.
+// A 64-byte header (magic, version, dims, top_m, payload CRC-32, payload
+// size, header CRC-32) is followed by the five parameter arrays plus the
+// precomputed per-user TopComm table (§5.2's offline artifact) as flat
+// int32 rows, every section 64-byte aligned. Because TopComm ships in the
+// file, opening an arena requires no per-user work — a serving hot-reload
+// is validate + mmap + pointer swap. cold_train writes it, and every
+// reader maps it (serve/snapshot_arena.h).
 #pragma once
 
 #include <cstddef>
@@ -25,14 +20,6 @@
 #include "util/status.h"
 
 namespace cold::core {
-
-/// \brief Writes `estimates` to `path` (overwrites).
-cold::Status SaveEstimates(const ColdEstimates& estimates,
-                           const std::string& path);
-
-/// \brief Reads estimates previously written by SaveEstimates. Validates
-/// magic, dimensions and payload size.
-cold::Result<ColdEstimates> LoadEstimates(const std::string& path);
 
 /// Arena sections are aligned to this boundary (cache line; also keeps
 /// every double array 8-byte aligned within a page-aligned mapping).
@@ -69,9 +56,5 @@ struct ArenaView {
 /// finite parameters, in-range TopComm entries. The returned pointers
 /// alias `data`, which must stay mapped while they are in use.
 cold::Result<ArenaView> ValidateArena(const void* data, size_t size);
-
-/// \brief True when `path` begins with the COLDARN1 magic (format
-/// sniffing; false on read errors or short files).
-bool IsArenaFile(const std::string& path);
 
 }  // namespace cold::core

@@ -4,13 +4,11 @@
 #include <chrono>
 #include <cmath>
 #include <optional>
-#include <span>
 #include <sstream>
 #include <unordered_map>
 #include <utility>
 
 #include "apps/influence.h"
-#include "core/model_io.h"
 #include "obs/trace.h"
 #include "serve/json.h"
 #include "serve/snapshot_arena.h"
@@ -143,42 +141,23 @@ cold::Status ModelService::LoadFromFile(const std::string& path) {
   if (path.empty()) {
     return cold::Status::InvalidArgument("no model path configured");
   }
-  // All snapshot parsing, validation and predictor construction (TopComm
-  // precollection for COLDEST1) runs before the swap, so serving continues
-  // at full speed during a reload.
-  std::vector<std::shared_ptr<const core::ColdPredictor>> replicas;
-  std::string format;
-  if (core::IsArenaFile(path)) {
-    auto mapped = ArenaSnapshot::Map(path);
-    if (!mapped.ok()) {
-      ServiceMetrics().reload_failures->Increment();
-      return mapped.status();
-    }
-    std::shared_ptr<const ArenaSnapshot> snapshot =
-        std::move(mapped).ValueOrDie();
-    const size_t table_len = static_cast<size_t>(snapshot->view().U) *
-                             static_cast<size_t>(snapshot->top_m());
-    std::span<const int32_t> top_comm(snapshot->top_comm(), table_len);
-    // Every replica is a zero-copy view pinning the same mmap; replica
-    // count buys cache partitioning, not memory.
-    replicas.reserve(static_cast<size_t>(num_replicas_));
-    for (int r = 0; r < num_replicas_; ++r) {
-      replicas.push_back(std::make_shared<const core::ColdPredictor>(
-          snapshot->view(), snapshot, top_comm, snapshot->top_m()));
-    }
-    format = "coldarn1";
-  } else {
-    auto loaded = core::LoadEstimates(path);
-    if (!loaded.ok()) {
-      ServiceMetrics().reload_failures->Increment();
-      return loaded.status();
-    }
-    auto predictor = std::make_shared<const core::ColdPredictor>(
-        std::move(loaded).ValueOrDie(), options_.top_communities);
-    replicas.assign(static_cast<size_t>(num_replicas_), predictor);
-    format = "coldest1";
+  // Mapping and validation run before the swap, so serving continues at
+  // full speed during a reload.
+  auto mapped = ArenaSnapshot::Map(path);
+  if (!mapped.ok()) {
+    ServiceMetrics().reload_failures->Increment();
+    return mapped.status();
   }
-  InstallReplicas(std::move(replicas), std::move(format));
+  std::shared_ptr<const ArenaSnapshot> snapshot =
+      std::move(mapped).ValueOrDie();
+  // Every replica is a zero-copy view pinning the same mmap; replica
+  // count buys cache partitioning, not memory.
+  std::vector<std::shared_ptr<const core::ColdPredictor>> replicas;
+  replicas.reserve(static_cast<size_t>(num_replicas_));
+  for (int r = 0; r < num_replicas_; ++r) {
+    replicas.push_back(ViewPredictor(snapshot));
+  }
+  InstallReplicas(std::move(replicas), "coldarn1");
   COLD_LOG(kInfo) << "cold_serve loaded snapshot " << path << " (generation "
                   << generation() << ", " << num_replicas_ << " replicas)";
   return cold::Status::OK();

@@ -20,8 +20,8 @@
 // same replica contend per-shard, not per-cache.
 //
 // Hot reload is an O(1) generation pointer swap: the new RouterState is
-// fully constructed off to the side (for COLDARN1 arena snapshots the
-// replicas are zero-copy views into one shared mmap), then installed with
+// fully constructed off to the side (the replicas are zero-copy views into
+// one shared mmap of the COLDARN1 arena), then installed with
 // one pointer swap under router_mutex_, which requests hold only to copy
 // the pointer — cold/serve/reload_swap_seconds measures exactly that swap,
 // which is why the p99 reload stall is microseconds. Requests pin the
@@ -52,16 +52,15 @@
 namespace cold::serve {
 
 struct ModelServiceOptions {
-  /// Snapshot reloaded by POST /admin/reload (without a "path" override)
-  /// and by SIGHUP in the cold_serve tool. May be empty for in-process
-  /// services constructed from estimates directly. COLDEST1 and COLDARN1
-  /// files are both accepted (sniffed by magic).
+  /// COLDARN1 arena reloaded by POST /admin/reload (without a "path"
+  /// override) and by SIGHUP in the cold_serve tool. May be empty for
+  /// in-process services constructed from estimates directly.
   std::string model_path;
-  /// |TopComm(i)| used when constructing predictors (the paper fixes 5).
+  /// Nothing reads this: an arena's TopComm width is fixed in its header
+  /// when it is saved. Kept only because e2ebench still sets it.
   int top_communities = 5;
   /// Replicas queries are sharded across by home community (clamped to
-  /// >= 1). Arena snapshots share one mmap across all replicas; legacy
-  /// COLDEST1 loads share one predictor.
+  /// >= 1). All replicas are views over one shared mmap.
   int num_replicas = 1;
   /// Total entries across each replica's posterior LRU; 0 disables
   /// caching. The per-replica budget is capacity / num_replicas.
@@ -82,9 +81,10 @@ class ModelService {
   ModelService(const ModelService&) = delete;
   ModelService& operator=(const ModelService&) = delete;
 
-  /// \brief Loads a snapshot (COLDARN1 arena or legacy COLDEST1, sniffed
-  /// by magic) and swaps it in atomically. On failure the previous model
-  /// keeps serving.
+  /// \brief Maps and validates the COLDARN1 arena at `path`, builds
+  /// num_replicas view predictors over it, and swaps them in atomically.
+  /// Any other file is rejected, and on failure the previous model keeps
+  /// serving.
   cold::Status LoadFromFile(const std::string& path);
 
   /// \brief Reloads from options.model_path (the SIGHUP path).
@@ -118,7 +118,7 @@ class ModelService {
   /// one shared snapshot. Swapped wholesale by reloads.
   struct RouterState {
     int64_t generation = 0;
-    /// "coldarn1" (mmap arena), "coldest1" (legacy file) or "in_memory".
+    /// "coldarn1" (mmap arena) or "in_memory" (SetPredictor).
     std::string format;
     std::vector<std::shared_ptr<const core::ColdPredictor>> replicas;
   };

@@ -7,6 +7,7 @@
 
 #include <cerrno>
 #include <cstring>
+#include <span>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -57,6 +58,16 @@ cold::Result<std::shared_ptr<const ArenaSnapshot>> ArenaSnapshot::Map(
 
 ArenaSnapshot::~ArenaSnapshot() {
   if (base_ != nullptr) ::munmap(base_, size_);
+}
+
+std::shared_ptr<const core::ColdPredictor> ViewPredictor(
+    std::shared_ptr<const ArenaSnapshot> snapshot) {
+  const ArenaSnapshot& arena = *snapshot;
+  std::span<const int32_t> top_comm(
+      arena.top_comm(),
+      static_cast<size_t>(arena.view().U) * static_cast<size_t>(arena.top_m()));
+  return std::make_shared<const core::ColdPredictor>(
+      arena.view(), std::move(snapshot), top_comm, arena.top_m());
 }
 
 }  // namespace cold::serve

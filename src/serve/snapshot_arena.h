@@ -1,8 +1,9 @@
-// Read-only mmap of a COLDARN1 model snapshot (core/model_io.h) for the
-// serving layer. One ArenaSnapshot is one immutable generation: requests
-// pin it via shared_ptr, so a hot-reload maps the new file, validates it,
-// and swaps a pointer — the old mapping unmaps itself when the last
-// in-flight request drops its reference. Validation (CRC + finiteness) runs
+// Read-only mmap of a COLDARN1 model snapshot (core/model_io.h): the one
+// model reader, used by ModelService and cold_predict alike. One
+// ArenaSnapshot is one immutable generation: requests pin it via
+// shared_ptr, so a hot-reload maps the new file, validates it, and swaps a
+// pointer — the old mapping unmaps itself when the last in-flight request
+// drops its reference. Validation (CRC + finiteness) runs
 // once at open time, off the serving fast path; a corrupt or torn file is
 // rejected here and the previous generation keeps serving.
 #pragma once
@@ -13,6 +14,7 @@
 #include <string>
 
 #include "core/model_io.h"
+#include "core/predictor.h"
 #include "util/status.h"
 
 namespace cold::serve {
@@ -44,5 +46,11 @@ class ArenaSnapshot {
   size_t size_ = 0;
   core::ArenaView arena_;
 };
+
+/// \brief A view-mode ColdPredictor over `snapshot`'s arrays and its baked
+/// TopComm table, pinning the mapping for the predictor's lifetime. O(1):
+/// nothing is copied or recomputed.
+std::shared_ptr<const core::ColdPredictor> ViewPredictor(
+    std::shared_ptr<const ArenaSnapshot> snapshot);
 
 }  // namespace cold::serve

@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <filesystem>
+#include <memory>
 
 #include "apps/influence.h"
 #include "apps/patterns.h"
@@ -14,6 +15,7 @@
 #include "data/split.h"
 #include "data/synthetic.h"
 #include "eval/metrics.h"
+#include "serve/snapshot_arena.h"
 
 namespace cold {
 namespace {
@@ -147,13 +149,18 @@ TEST_F(EndToEnd, SerialAndParallelAgreeOnTopicQuality) {
 
 TEST_F(EndToEnd, ModelShipsThroughSerialization) {
   std::string path =
-      (std::filesystem::temp_directory_path() / "cold_e2e_model.bin").string();
-  ASSERT_TRUE(core::SaveEstimates(*estimates_, path).ok());
-  auto loaded = core::LoadEstimates(path);
-  ASSERT_TRUE(loaded.ok());
-  core::ColdPredictor predictor(std::move(loaded).ValueOrDie(), 5);
+      (std::filesystem::temp_directory_path() / "cold_e2e_model.arena")
+          .string();
+  ASSERT_TRUE(core::SaveArenaSnapshot(*estimates_, 5, path).ok());
+  auto mapped = serve::ArenaSnapshot::Map(path);
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+  std::shared_ptr<const core::ColdPredictor> shipped =
+      serve::ViewPredictor(std::move(mapped).ValueOrDie());
+  core::ColdPredictor in_memory(*estimates_, 5);
   std::vector<text::WordId> message = {0, 1, 2};
-  EXPECT_GT(predictor.DiffusionProbability(0, 1, message), 0.0);
+  EXPECT_GT(shipped->DiffusionProbability(0, 1, message), 0.0);
+  EXPECT_EQ(shipped->DiffusionProbability(0, 1, message),
+            in_memory.DiffusionProbability(0, 1, message));
   std::filesystem::remove(path);
 }
 

@@ -1,13 +1,15 @@
 // Property sweeps over both serialization formats: dataset flat files and
-// binary model estimates must round-trip exactly across a grid of shapes,
-// including degenerate ones.
+// COLDARN1 model arenas must round-trip exactly across a grid of shapes,
+// including degenerate ones (a model with no users).
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <filesystem>
 
 #include "core/model_io.h"
 #include "data/serialize.h"
 #include "data/synthetic.h"
+#include "serve/snapshot_arena.h"
 #include "util/rng.h"
 
 namespace cold {
@@ -110,16 +112,28 @@ TEST_P(ModelRoundTrip, ExactRoundTrip) {
   std::string path =
       (fs::temp_directory_path() /
        ("cold_model_rt_" + std::to_string(shape.U) + "_" +
-        std::to_string(shape.K) + ".bin"))
+        std::to_string(shape.K) + ".arena"))
           .string();
-  ASSERT_TRUE(core::SaveEstimates(est, path).ok());
-  auto loaded = core::LoadEstimates(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded->pi, est.pi);
-  EXPECT_EQ(loaded->theta, est.theta);
-  EXPECT_EQ(loaded->eta, est.eta);
-  EXPECT_EQ(loaded->phi, est.phi);
-  EXPECT_EQ(loaded->psi, est.psi);
+  // Save, then map: mapping validates every CRC, size and value check.
+  ASSERT_TRUE(core::SaveArenaSnapshot(est, 5, path).ok());
+  auto mapped = serve::ArenaSnapshot::Map(path);
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+  const core::EstimatesView& view = (*mapped)->view();
+  ASSERT_EQ(view.U, est.U);
+  ASSERT_EQ(view.C, est.C);
+  ASSERT_EQ(view.K, est.K);
+  ASSERT_EQ(view.T, est.T);
+  ASSERT_EQ(view.V, est.V);
+  auto same_bytes = [](const double* mapped_array,
+                       const std::vector<double>& saved) {
+    return saved.empty() || std::memcmp(mapped_array, saved.data(),
+                                        saved.size() * sizeof(double)) == 0;
+  };
+  EXPECT_TRUE(same_bytes(view.pi, est.pi));
+  EXPECT_TRUE(same_bytes(view.theta, est.theta));
+  EXPECT_TRUE(same_bytes(view.eta, est.eta));
+  EXPECT_TRUE(same_bytes(view.phi, est.phi));
+  EXPECT_TRUE(same_bytes(view.psi, est.psi));
   fs::remove(path);
 }
 

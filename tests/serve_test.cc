@@ -593,20 +593,20 @@ TEST_F(ServeTest, ConcurrentRequestsAllSucceedAndAgree) {
 
 TEST_F(ServeTest, HotReloadUnderLoadServesOneOfTwoModels) {
   StartServer();
-  // Two distinct snapshots on disk, named per process: ctest -j runs the
-  // Epoll and Blocking instances at once, and each rewrites and deletes
-  // its files.
+  // Two distinct arenas on disk, named per process so that concurrent runs
+  // of this case (ctest -j across build trees) never share the files each
+  // one rewrites and deletes.
   core::ColdEstimates model_a = RandomEstimates(7);   // == estimates_
   core::ColdEstimates model_b = RandomEstimates(99);
   const std::string pid = std::to_string(::getpid());
   std::string path_a =
-      (fs::temp_directory_path() / ("cold_serve_model_a_" + pid + ".bin"))
+      (fs::temp_directory_path() / ("cold_serve_model_a_" + pid + ".arena"))
           .string();
   std::string path_b =
-      (fs::temp_directory_path() / ("cold_serve_model_b_" + pid + ".bin"))
+      (fs::temp_directory_path() / ("cold_serve_model_b_" + pid + ".arena"))
           .string();
-  ASSERT_TRUE(core::SaveEstimates(model_a, path_a).ok());
-  ASSERT_TRUE(core::SaveEstimates(model_b, path_b).ok());
+  ASSERT_TRUE(core::SaveArenaSnapshot(model_a, 5, path_a).ok());
+  ASSERT_TRUE(core::SaveArenaSnapshot(model_b, 5, path_b).ok());
   core::ColdPredictor direct_a(model_a, 5);
   core::ColdPredictor direct_b(model_b, 5);
   std::vector<text::WordId> words = {1, 2, 3};
@@ -665,8 +665,9 @@ TEST_F(ServeTest, HotReloadUnderLoadServesOneOfTwoModels) {
     });
   }
 
-  // Flip snapshots while the load runs. NOTE: the fixture's initial model
-  // was built with top_communities=3; reloads use 5, matching direct_a/b.
+  // Flip snapshots while the load runs. With C=3, the fixture's predictor,
+  // both arenas and direct_a/b all hold min(top_communities, C) = 3 TopComm
+  // entries per user, so every generation answers like direct_a or b.
   HttpClient admin;
   ASSERT_TRUE(admin.Connect(server_->port()).ok());
   for (int flip = 0; flip < 6; ++flip) {
@@ -683,10 +684,13 @@ TEST_F(ServeTest, HotReloadUnderLoadServesOneOfTwoModels) {
   EXPECT_GT(served.load(), 0);
   EXPECT_GT(served_fan_outs.load(), 0);
 
-  // Reload of a corrupt snapshot fails and keeps serving.
+  // Reload of a corrupt snapshot fails and keeps serving. Replace the file
+  // via rename, like every writer does: truncating the inode in place would
+  // pull the pages out from under the live mapping.
   {
-    std::ofstream out(path_a, std::ios::binary | std::ios::trunc);
-    out << "garbage";
+    const std::string tmp = path_a + ".garbage";
+    std::ofstream(tmp, std::ios::binary | std::ios::trunc) << "garbage";
+    fs::rename(tmp, path_a);
   }
   auto bad = admin.Post("/admin/reload", "{\"path\": \"" + path_a + "\"}");
   ASSERT_TRUE(bad.ok());
@@ -956,11 +960,10 @@ TEST_F(ArenaServeTest, TornWriteIsDetected) {
   const auto full_size = fs::file_size(arena_path_);
   fs::resize_file(arena_path_, full_size - 64);
   ModelService service{ModelServiceOptions{}};
-  EXPECT_FALSE(service.LoadFromFile(arena_path_).ok());
-
-  // And an arena is still recognized as one (magic intact), so the failure
-  // came from validation, not from falling through to the legacy loader.
-  EXPECT_TRUE(core::IsArenaFile(arena_path_));
+  cold::Status status = service.LoadFromFile(arena_path_);
+  ASSERT_FALSE(status.ok());
+  EXPECT_NE(status.message().find("arena size mismatch"), std::string::npos)
+      << status.ToString();
 }
 
 // ---------------------------------------------------------------------------

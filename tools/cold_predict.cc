@@ -1,4 +1,6 @@
-// cold_predict — loads a trained model and answers prediction queries:
+// cold_predict — maps a trained model (the COLDARN1 arena cold_train
+// writes, the same file cold_serve maps) and answers prediction queries
+// through a zero-copy view predictor; any other file exits 1:
 //
 //   cold_predict <model> topics                       top words per topic
 //   cold_predict <model> communities                  interest pies
@@ -11,12 +13,14 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/cold.h"
-#include "core/model_io.h"
+#include "serve/snapshot_arena.h"
 #include "util/math_util.h"
 
 namespace {
@@ -53,19 +57,24 @@ int main(int argc, char** argv) {
   using namespace cold;
   if (argc < 3) return Usage(argv[0]);
 
-  auto loaded = core::LoadEstimates(argv[1]);
-  if (!loaded.ok()) {
-    std::fprintf(stderr, "load: %s\n", loaded.status().ToString().c_str());
+  auto mapped = serve::ArenaSnapshot::Map(argv[1]);
+  if (!mapped.ok()) {
+    std::fprintf(stderr, "load: %s\n", mapped.status().ToString().c_str());
     return 1;
   }
-  core::ColdEstimates estimates = std::move(loaded).ValueOrDie();
-  core::ColdPredictor predictor(estimates, 5);
+  const std::shared_ptr<const core::ColdPredictor> model =
+      serve::ViewPredictor(std::move(mapped).ValueOrDie());
+  const core::ColdPredictor& predictor = *model;
+  const core::EstimatesView& estimates = predictor.estimates();
   const std::string command = argv[2];
 
   if (command == "topics") {
     for (int k = 0; k < estimates.K; ++k) {
       std::printf("topic %d:", k);
-      for (int w : estimates.TopWords(k, 10)) {
+      std::span<const double> phi_k(
+          estimates.phi + static_cast<size_t>(k) * estimates.V,
+          static_cast<size_t>(estimates.V));
+      for (int w : TopKIndices(phi_k, 10)) {
         std::printf(" %d(%.3f)", w, estimates.Phi(k, w));
       }
       std::printf("\n");

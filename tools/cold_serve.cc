@@ -1,22 +1,23 @@
 // cold_serve — the COLD prediction server (the online half of §5.2's
-// offline/online split): loads a model snapshot (COLDARN1 mmap arena or
-// legacy COLDEST1, sniffed by magic), builds ColdPredictor replicas, and
-// serves the JSON inference API over HTTP/1.1 from an epoll event loop.
+// offline/online split): maps the COLDARN1 arena that cold_train writes,
+// builds zero-copy ColdPredictor replicas over it, and serves the JSON
+// inference API over HTTP/1.1 from an epoll event loop. Any other file
+// fails startup with exit code 1. TopComm rows come baked into the arena.
 //
 // Usage: cold_serve <model> [--port N] [--reactors N] [--replicas N]
 //                   [--idle-timeout-seconds N] [--cache N]
-//                   [--cache-shards N] [--top-communities N]
-//                   [--max-inflight N] [--slow-request-ms N]
+//                   [--cache-shards N] [--max-inflight N]
+//                   [--slow-request-ms N]
 //
 // --reactors picks the event-loop thread count (0 = one per hardware
 // thread, capped at 16). --idle-timeout-seconds closes a connection on
 // which no byte has moved either way for N seconds (0 = never): a
 // keep-alive client idle between requests, or one that stopped reading its
 // responses. --replicas shards queries across N predictor replicas by the
-// author's home community;
-// arena snapshots share one mmap across all replicas. Every request is
-// answered on the thread that parsed it; a /v1/diffusion fan-out computes
-// its post's topic posterior once and scores each candidate against it.
+// author's home community; all replicas share one mmap of the arena. Every
+// request is answered on the thread that parsed it; a /v1/diffusion
+// fan-out computes its post's topic posterior once and scores each
+// candidate against it.
 // Posteriors are kept per snapshot generation in an LRU of --cache
 // entries split over --cache-shards shards.
 //
@@ -63,8 +64,7 @@ int Usage(const char* argv0) {
                "usage: %s <model> [--port N=8080] [--reactors N=0] "
                "[--replicas N=1] [--idle-timeout-seconds N=5] "
                "[--cache N=4096] [--cache-shards N=8] "
-               "[--top-communities N=5] [--max-inflight N=0] "
-               "[--slow-request-ms N=0]\n",
+               "[--max-inflight N=0] [--slow-request-ms N=0]\n",
                argv0);
   return 2;
 }
@@ -95,7 +95,6 @@ int main(int argc, char** argv) {
   int idle_timeout = 5;
   int cache_shards = 8;
   int cache = 4096;
-  int top_communities = 5;
   int max_inflight = 0;
   int slow_request_ms = 0;
 
@@ -116,8 +115,6 @@ int main(int argc, char** argv) {
       if (!next(1, 4096, &cache_shards)) return Usage(argv[0]);
     } else if (std::strcmp(arg, "--cache") == 0) {
       if (!next(0, 1 << 24, &cache)) return Usage(argv[0]);
-    } else if (std::strcmp(arg, "--top-communities") == 0) {
-      if (!next(1, 1 << 20, &top_communities)) return Usage(argv[0]);
     } else if (std::strcmp(arg, "--max-inflight") == 0) {
       if (!next(0, 1 << 20, &max_inflight)) return Usage(argv[0]);
     } else if (std::strcmp(arg, "--slow-request-ms") == 0) {
@@ -130,7 +127,6 @@ int main(int argc, char** argv) {
 
   serve::ModelServiceOptions service_options;
   service_options.model_path = model_path;
-  service_options.top_communities = top_communities;
   service_options.num_replicas = replicas;
   service_options.posterior_cache_capacity = static_cast<size_t>(cache);
   service_options.cache_shards = static_cast<size_t>(cache_shards);

@@ -1,5 +1,8 @@
 // cold_train — trains COLD on a dataset directory (the data/serialize.h
-// layout) and writes the fitted estimates to a binary model file.
+// layout) and writes the fitted estimates to <model-out> as a COLDARN1
+// arena (core/model_io.h): the five parameter arrays plus each user's
+// TopComm row (config.top_communities wide), written tmp + fsync + rename.
+// cold_serve and cold_predict both map that one file.
 //
 // Usage: cold_train <dataset-dir> <model-out> [C=8] [K=12] [iterations=150]
 //                   [--parallel] [--threads N] [--metrics-out FILE] [--trace]
@@ -97,7 +100,6 @@ namespace {
 int Usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s <dataset-dir> <model-out> [C=8] [K=12] "
-               "[--arena-out PATH] "
                "[iterations=150] [--parallel] [--threads N] "
                "[--nodes N [--node-rank R --coordinator HOST:PORT]] "
                "[--max-restarts K] [--heartbeat-interval-ms N] "
@@ -138,9 +140,6 @@ bool ParseNonNegativeInt(const char* s, int* out) {
 struct Args {
   std::string dataset_dir;
   std::string model_out;
-  /// When non-empty, also write a COLDARN1 mmap-able arena snapshot here
-  /// (the cold_serve zero-copy format).
-  std::string arena_out;
   int num_communities = 8;
   int num_topics = 12;
   int iterations = 150;
@@ -174,21 +173,19 @@ struct Args {
   int sparse_mh_steps = 2;
 };
 
-
-/// Writes the optional COLDARN1 arena next to the COLDEST1 model when
-/// --arena-out was given. Non-fatal on its own; callers fold the result
-/// into their exit code.
-bool MaybeSaveArena(const Args& args, const cold::core::ColdEstimates& estimates,
-                    int top_communities) {
-  namespace core = cold::core;
-  if (args.arena_out.empty()) return true;
-  if (auto st = core::SaveArenaSnapshot(estimates, top_communities,
-                                        args.arena_out);
+/// Writes `estimates` to <model-out> as a COLDARN1 arena. Returns false
+/// (after printing why) on failure; callers fold it into their exit code.
+bool SaveModel(const Args& args, const cold::core::ColdEstimates& estimates,
+               int top_communities) {
+  if (auto st = cold::core::SaveArenaSnapshot(estimates, top_communities,
+                                              args.model_out);
       !st.ok()) {
-    std::fprintf(stderr, "arena: %s\n", st.ToString().c_str());
+    std::fprintf(stderr, "save: %s\n", st.ToString().c_str());
     return false;
   }
-  std::printf("arena snapshot written to %s\n", args.arena_out.c_str());
+  std::printf("model written to %s (U=%d C=%d K=%d T=%d V=%d)\n",
+              args.model_out.c_str(), estimates.U, estimates.C, estimates.K,
+              estimates.T, estimates.V);
   return true;
 }
 
@@ -307,12 +304,6 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       }
     } else if (std::strcmp(arg, "--resume") == 0) {
       args->resume = true;
-    } else if (std::strcmp(arg, "--arena-out") == 0) {
-      if (a + 1 >= argc) {
-        std::fprintf(stderr, "--arena-out requires a path\n");
-        return false;
-      }
-      args->arena_out = argv[++a];
     } else if (std::strcmp(arg, "--topic-sampling") == 0) {
       if (a + 1 >= argc) {
         std::fprintf(stderr,
@@ -668,18 +659,7 @@ int RunDistNode(const Args& args, const cold::core::ColdConfig& config,
                    args.metrics_out.c_str());
       exit_code = 1;
     }
-    if (auto save = core::SaveEstimates(estimates, args.model_out);
-        !save.ok()) {
-      std::fprintf(stderr, "save: %s\n", save.ToString().c_str());
-      exit_code = 1;
-    } else {
-      std::printf("model written to %s (U=%d C=%d K=%d T=%d V=%d)\n",
-                  args.model_out.c_str(), estimates.U, estimates.C,
-                  estimates.K, estimates.T, estimates.V);
-      if (!MaybeSaveArena(args, estimates, config.top_communities)) {
-        exit_code = 1;
-      }
-    }
+    if (!SaveModel(args, estimates, config.top_communities)) exit_code = 1;
   }
   return exit_code;
 }
@@ -1057,13 +1037,5 @@ int main(int argc, char** argv) {
   }
   if (args.trace) PrintSpanSummary();
 
-  if (auto st = core::SaveEstimates(estimates, args.model_out); !st.ok()) {
-    std::fprintf(stderr, "save: %s\n", st.ToString().c_str());
-    return 1;
-  }
-  std::printf("model written to %s (U=%d C=%d K=%d T=%d V=%d)\n",
-              args.model_out.c_str(), estimates.U, estimates.C, estimates.K,
-              estimates.T, estimates.V);
-  if (!MaybeSaveArena(args, estimates, config.top_communities)) return 1;
-  return 0;
+  return SaveModel(args, estimates, config.top_communities) ? 0 : 1;
 }

@@ -1,16 +1,21 @@
 #!/usr/bin/env bash
 # End-to-end smoke check for the serving layer:
 #
-#   cold_generate -> cold_train (--arena-out) -> cold_serve -> curl
+#   cold_generate -> cold_train (COLDARN1 arena) -> cold_predict
+#                 -> cold_serve -> curl
 #
-# Drives the serving event loop over an mmap'd COLDARN1 arena snapshot
-# with two reactors and two replicas: N sequential /v1/diffusion POSTs
+# cold_train writes its model as the arena that both cold_predict and
+# cold_serve map; cold_predict must answer from it, and both must refuse a
+# file that is not an arena (a legacy COLDEST1 header) with exit 1. Drives
+# the serving event loop over that arena with two reactors and two
+# replicas: N sequential /v1/diffusion POSTs
 # must all return HTTP 200, two hot reloads must land (a POST
 # /admin/reload probe takes the model to generation 2, a SIGHUP sent
 # during the load to generation 3), /metrics must report a request count
 # consistent with the load, and the reload swap stall measured by
 # cold/serve/reload_swap_seconds must stay under a generous bound. The
-# removed --blocking flag must exit 2.
+# removed flags cold_train --arena-out and cold_serve --blocking and
+# --top-communities must exit 2.
 #
 # Usage: tools/smoke_serve.sh [build-dir] [num-requests]
 set -euo pipefail
@@ -32,7 +37,7 @@ trap cleanup EXIT
 
 die() { echo "FAIL: $*" >&2; exit 1; }
 
-for bin in cold_generate cold_train cold_serve; do
+for bin in cold_generate cold_train cold_predict cold_serve; do
   [[ -x "${BUILD_DIR}/tools/${bin}" ]] \
     || die "missing ${BUILD_DIR}/tools/${bin} (build the project first)"
 done
@@ -41,16 +46,49 @@ command -v curl >/dev/null || die "curl not found"
 echo "== generate + train a small model =="
 "${BUILD_DIR}/tools/cold_generate" "${WORK_DIR}/data" 120 4 6 8 \
   || die "cold_generate"
-"${BUILD_DIR}/tools/cold_train" "${WORK_DIR}/data" "${WORK_DIR}/model.bin" \
-  4 6 40 --arena-out "${WORK_DIR}/model.arena" || die "cold_train"
-[[ -s "${WORK_DIR}/model.arena" ]] || die "no arena snapshot written"
+"${BUILD_DIR}/tools/cold_train" "${WORK_DIR}/data" "${WORK_DIR}/model.arena" \
+  4 6 40 || die "cold_train"
+[[ "$(head -c 8 "${WORK_DIR}/model.arena")" == "COLDARN1" ]] \
+  || die "cold_train did not write a COLDARN1 arena"
 
-echo "== removed flag is rejected =="
+echo "== cold_predict answers from the same arena =="
+"${BUILD_DIR}/tools/cold_predict" "${WORK_DIR}/model.arena" topics \
+  >"${WORK_DIR}/topics.txt" || die "cold_predict topics"
+TOPICS="$(grep -c '^topic ' "${WORK_DIR}/topics.txt" || true)"
+[[ "${TOPICS}" -eq 6 ]] || die "cold_predict topics printed ${TOPICS} topics, wanted 6"
+"${BUILD_DIR}/tools/cold_predict" "${WORK_DIR}/model.arena" diffusion 0 1 0,1,2 \
+  >"${WORK_DIR}/diffusion.txt" || die "cold_predict diffusion"
+grep -q '^P(1 retweets 0' "${WORK_DIR}/diffusion.txt" \
+  || die "cold_predict diffusion printed: $(cat "${WORK_DIR}/diffusion.txt")"
+echo "  ok topics, diffusion"
+
+echo "== a file that is not an arena is refused =="
+{ printf 'COLDEST1'; head -c 256 /dev/zero; } >"${WORK_DIR}/legacy.bin"
 RC=0
-timeout 10 "${BUILD_DIR}/tools/cold_serve" "${WORK_DIR}/model.arena" \
-  --port 0 --blocking >/dev/null 2>&1 || RC=$?
-[[ "${RC}" -eq 2 ]] || die "cold_serve --blocking exited ${RC}, wanted 2"
-echo "  ok --blocking exits 2"
+"${BUILD_DIR}/tools/cold_predict" "${WORK_DIR}/legacy.bin" topics \
+  >/dev/null 2>&1 || RC=$?
+[[ "${RC}" -eq 1 ]] || die "cold_predict on a non-arena file exited ${RC}, wanted 1"
+RC=0
+timeout 10 "${BUILD_DIR}/tools/cold_serve" "${WORK_DIR}/legacy.bin" \
+  --port 0 >/dev/null 2>&1 || RC=$?
+[[ "${RC}" -eq 1 ]] || die "cold_serve on a non-arena file exited ${RC}, wanted 1"
+echo "  ok cold_predict and cold_serve exit 1"
+
+echo "== removed flags are rejected =="
+expect_usage() {  # expect_usage <name> <command...>
+  local name="$1" rc=0; shift
+  timeout 10 "$@" >/dev/null 2>&1 || rc=$?
+  [[ "${rc}" -eq 2 ]] || die "${name} exited ${rc}, wanted 2"
+  echo "  ok ${name} exits 2"
+}
+expect_usage "cold_train --arena-out" "${BUILD_DIR}/tools/cold_train" \
+  "${WORK_DIR}/data" "${WORK_DIR}/unused.arena" 4 6 40 \
+  --arena-out "${WORK_DIR}/unused2.arena"
+[[ ! -e "${WORK_DIR}/unused.arena" ]] || die "rejected cold_train wrote a model"
+expect_usage "cold_serve --blocking" "${BUILD_DIR}/tools/cold_serve" \
+  "${WORK_DIR}/model.arena" --port 0 --blocking
+expect_usage "cold_serve --top-communities" "${BUILD_DIR}/tools/cold_serve" \
+  "${WORK_DIR}/model.arena" --port 0 --top-communities 1
 
 echo "== start cold_serve (epoll, arena snapshot, 2 reactors, 2 replicas) =="
 "${BUILD_DIR}/tools/cold_serve" "${WORK_DIR}/model.arena" --port 0 \
