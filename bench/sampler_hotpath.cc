@@ -222,7 +222,7 @@ SparseKernelResult BenchSparseDraw(const core::ColdConfig& base_config,
         int t = posts.time(d);
         int k0 = state.post_topic[static_cast<size_t>(d)];
         sink += core::MhTopicDraw(
-            rows[static_cast<size_t>(c * T + t)], k0, config.sparse_mh_steps,
+            rows[static_cast<size_t>(c * T + t)], k0, core::kSparseMhSteps,
             sparse_rng,
             [&](int k) { return sampler.TopicLogWeightOne(d, c, k); });
       }

@@ -396,9 +396,7 @@ int Run(const LoadOptions& options) {
 
   serve::ModelServiceOptions service_options;
   service_options.model_path = arena_path;
-  service_options.num_replicas = 2;
   service_options.posterior_cache_capacity = 4096;
-  service_options.cache_shards = 8;
   serve::ModelService service(service_options);
   if (auto st = service.LoadFromFile(arena_path); !st.ok()) {
     std::fprintf(stderr, "arena load failed: %s\n", st.ToString().c_str());
@@ -462,7 +460,6 @@ int Run(const LoadOptions& options) {
   serve::Json model = serve::Json::MakeObject();
   model.Set("users", U);
   model.Set("vocab", V);
-  model.Set("replicas", 2);
   root.Set("model", std::move(model));
   const unsigned hw_threads = std::max(1u, std::thread::hardware_concurrency());
   root.Set("hardware_threads", static_cast<double>(hw_threads));

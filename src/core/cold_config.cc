@@ -31,9 +31,6 @@ cold::Status ColdConfig::Validate() const {
   if (vocab_size < 0) {
     return cold::Status::InvalidArgument("vocab_size must be >= 0");
   }
-  if (sparse_mh_steps < 1) {
-    return cold::Status::InvalidArgument("sparse_mh_steps must be >= 1");
-  }
   return cold::Status::OK();
 }
 

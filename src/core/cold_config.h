@@ -83,24 +83,6 @@ struct ColdConfig {
 
   TopicSampling topic_sampling = TopicSampling::kAuto;
 
-  /// Metropolis-Hastings proposals per topic draw on the sparse path.
-  /// Exactness holds for any value >= 1; more steps mix faster per sweep
-  /// at proportionally higher cost.
-  int sparse_mh_steps = 2;
-
-  /// Count changes a community absorbs before its alias rows are marked
-  /// stale and lazily rebuilt; <= 0 derives max(64, 4K). Affects proposal
-  /// quality only, never correctness (the MH step is exact under any
-  /// staleness).
-  int sparse_rebuild_budget = 0;
-
-  /// Fully rebuild the incrementally-refreshed derived log caches every N
-  /// sweeps as drift insurance (each entry is also recomputed exactly on
-  /// every touch, so the rebuild is bit-neutral when no drift exists);
-  /// <= 0 means every 256 sweeps, and the debug build additionally
-  /// asserts the caches match an exact recompute each rebuild.
-  int derived_rebuild_every = 0;
-
   /// Resolved sparse-path switch: explicit setting, or the kAuto K
   /// threshold.
   bool UseSparseTopicSampling() const {
@@ -114,13 +96,6 @@ struct ColdConfig {
     }
     return false;
   }
-  int ResolvedSparseRebuildBudget() const {
-    if (sparse_rebuild_budget > 0) return sparse_rebuild_budget;
-    return num_topics * 4 > 64 ? num_topics * 4 : 64;
-  }
-  int ResolvedDerivedRebuildEvery() const {
-    return derived_rebuild_every > 0 ? derived_rebuild_every : 256;
-  }
 
   /// When true (default), the eta point estimate divides the block's link
   /// count by its expected pair exposure S_c * S_c' (S_c = sum_i pi_ic)
@@ -129,10 +104,6 @@ struct ColdConfig {
   /// (n_cc' + l1) / (n_cc' + l0 + l1) is restored by setting this false.
   /// Sampling (Eq. 2) is unaffected either way.
   bool exposure_normalized_eta = true;
-
-  /// Compute the training log-likelihood every N iterations (0 = never);
-  /// used to monitor convergence as in §4.3.
-  int log_likelihood_every = 0;
 
   double ResolvedRho() const { return rho > 0 ? rho : 50.0 / num_communities; }
   double ResolvedAlpha() const { return alpha > 0 ? alpha : 50.0 / num_topics; }

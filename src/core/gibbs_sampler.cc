@@ -28,7 +28,6 @@ struct GibbsMetrics {
   obs::Gauge* link_phase_seconds;
   obs::Gauge* community_switch_rate;
   obs::Gauge* topic_switch_rate;
-  obs::Gauge* train_log_likelihood;
   obs::Gauge* tokens_per_second;
   obs::Gauge* links_per_second;
 };
@@ -44,7 +43,6 @@ GibbsMetrics& Metrics() {
       registry.GetGauge("cold/gibbs/phase_seconds", {{"phase", "link"}}),
       registry.GetGauge("cold/gibbs/community_switch_rate"),
       registry.GetGauge("cold/gibbs/topic_switch_rate"),
-      registry.GetGauge("cold/gibbs/train_log_likelihood"),
       registry.GetGauge("cold/gibbs/tokens_per_second"),
       registry.GetGauge("cold/gibbs/links_per_second")};
   return metrics;
@@ -122,8 +120,10 @@ cold::Status ColdGibbsSampler::Init() {
   // the corpus token count) plus one post length.
   sparse_active_ = config_.UseSparseTopicSampling();
   if (sparse_active_) {
-    alias_bank_.Reset(C, posts_.num_time_slices(), K,
-                      config_.ResolvedSparseRebuildBudget());
+    // A community's alias rows go stale after max(64, 4K) count changes:
+    // proposal quality only, never correctness (MH is exact under any
+    // staleness).
+    alias_bank_.Reset(C, posts_.num_time_slices(), K, std::max(64, 4 * K));
     alias_weights_.resize(static_cast<size_t>(K));
     int max_len = 0;
     for (text::PostId d = 0; d < posts_.num_posts(); ++d) {
@@ -431,7 +431,7 @@ void ColdGibbsSampler::SampleTopicSparse(text::PostId d) {
   }
   const int k0 = state_->post_topic[static_cast<size_t>(d)];
   state_->post_topic[static_cast<size_t>(d)] = static_cast<int32_t>(
-      MhTopicDraw(alias_bank_.Row(c, t), k0, config_.sparse_mh_steps,
+      MhTopicDraw(alias_bank_.Row(c, t), k0, kSparseMhSteps,
                   sampler_, [&](int k) { return TopicLogWeightOne(d, c, k); }));
 }
 
@@ -544,11 +544,11 @@ void ColdGibbsSampler::SampleLinkAlternating(graph::EdgeId e) {
 
 void ColdGibbsSampler::RunIteration() {
   COLD_TRACE_SPAN("gibbs/sweep");
-  // Drift insurance for the incrementally-refreshed caches: every entry is
-  // a pure function of one counter, so the rebuild is bit-neutral when the
-  // increments are correct — the debug build proves that each time.
-  if (iterations_run_ > 0 &&
-      iterations_run_ % config_.ResolvedDerivedRebuildEvery() == 0) {
+  // Drift insurance for the incrementally-refreshed caches, every 256
+  // sweeps: every entry is a pure function of one counter, so the rebuild
+  // is bit-neutral when the increments are correct — the debug build
+  // proves that each time.
+  if (iterations_run_ > 0 && iterations_run_ % 256 == 0) {
     assert(MaxDerivedTableDrift() == 0.0);
     RebuildDerivedTables();
   }
@@ -615,12 +615,6 @@ cold::Status ColdGibbsSampler::Train() {
   while (iterations_run_ < config_.iterations) {
     RunIteration();
     const int sweep = iterations_run_;
-    if (config_.log_likelihood_every > 0 &&
-        sweep % config_.log_likelihood_every == 0) {
-      double ll = TrainingLogLikelihood();
-      Metrics().train_log_likelihood->Set(ll);
-      COLD_LOG(kInfo) << "iter " << sweep << " log-likelihood=" << ll;
-    }
     if (sweep > config_.burn_in &&
         (sweep - config_.burn_in) % config_.sample_lag == 0) {
       ColdEstimates current = EstimatesFromCurrentSample();

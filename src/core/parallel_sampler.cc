@@ -92,7 +92,6 @@ class ColdVertexProgram {
     // serves the single-topic MH evaluations.
     sparse_ = config.UseSparseTopicSampling();
     if (sparse_) {
-      sparse_mh_steps_ = config.sparse_mh_steps;
       alias_bank_.Reset(static_cast<int>(C), static_cast<int>(T),
                         static_cast<int>(K), /*rebuild_budget=*/1);
       lgamma_tab_.Build(vbeta_, posts.num_tokens() + max_post_len_);
@@ -461,7 +460,7 @@ class ColdVertexProgram {
         }
         return v;
       };
-      k1 = MhTopicDraw(alias_bank_.Row(c1, t), k0, sparse_mh_steps_,
+      k1 = MhTopicDraw(alias_bank_.Row(c1, t), k0, kSparseMhSteps,
                        *sampler, eval_one);
     } else {
       // Dense scan: all topics take the cached path first — every read is
@@ -596,7 +595,6 @@ class ColdVertexProgram {
   // rebuilt every superstep from the frozen counters, and the lgamma table
   // the own-excluded length term reads.
   bool sparse_ = false;
-  int sparse_mh_steps_ = 2;
   TopicAliasBank alias_bank_;
   LGammaTable lgamma_tab_;
 };

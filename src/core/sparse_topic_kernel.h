@@ -31,6 +31,11 @@
 
 namespace cold::core {
 
+/// Metropolis-Hastings proposals per sparse topic draw, in both trainers.
+/// Exactness holds for any value >= 1; more steps mix faster per sweep at
+/// proportionally higher cost.
+inline constexpr int kSparseMhSteps = 2;
+
 /// \brief Integer-indexed log-gamma table: At(n) = lgamma(n + offset).
 ///
 /// Eq. (3)'s length-denominator ascending factorial is

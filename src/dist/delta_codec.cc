@@ -37,6 +37,12 @@ class Cursor {
 
   bool exhausted() const { return pos_ == data_.size(); }
 
+  /// True when `count` entries of `entry_bytes` each fit in the bytes
+  /// left, so a count read off the wire can be trusted to size a reserve.
+  bool Holds(uint64_t count, size_t entry_bytes) const {
+    return count <= (data_.size() - pos_) / entry_bytes;
+  }
+
  private:
   std::string_view data_;
   size_t pos_ = 0;
@@ -155,6 +161,7 @@ cold::Status DecodeHello(std::string_view payload, HelloPayload* out) {
       !cursor.Read(&out->data_fingerprint) || !cursor.Read(&num_sweeps)) {
     return Truncated("hello");
   }
+  if (!cursor.Holds(num_sweeps, sizeof(int32_t))) return Truncated("hello");
   out->checkpoint_sweeps.clear();
   out->checkpoint_sweeps.reserve(num_sweeps);
   for (uint64_t i = 0; i < num_sweeps; ++i) {
@@ -208,7 +215,9 @@ cold::Status DecodeUpdate(std::string_view payload,
                           core::SuperstepUpdate* out) {
   Cursor cursor(payload);
   uint64_t n = 0;
-  if (!cursor.Read(&n)) return Truncated("update");
+  if (!cursor.Read(&n) || !cursor.Holds(n, 2 * sizeof(int32_t))) {
+    return Truncated("update");
+  }
   out->count_deltas.clear();
   out->count_deltas.reserve(n);
   for (uint64_t i = 0; i < n; ++i) {
@@ -219,7 +228,9 @@ cold::Status DecodeUpdate(std::string_view payload,
     }
     out->count_deltas.emplace_back(idx, delta);
   }
-  if (!cursor.Read(&n)) return Truncated("update");
+  if (!cursor.Read(&n) || !cursor.Holds(n, 3 * sizeof(int32_t))) {
+    return Truncated("update");
+  }
   out->post_updates.clear();
   out->post_updates.reserve(n);
   for (uint64_t i = 0; i < n; ++i) {
@@ -230,7 +241,9 @@ cold::Status DecodeUpdate(std::string_view payload,
     }
     out->post_updates.push_back(entry);
   }
-  if (!cursor.Read(&n)) return Truncated("update");
+  if (!cursor.Read(&n) || !cursor.Holds(n, 3 * sizeof(int32_t))) {
+    return Truncated("update");
+  }
   out->link_updates.clear();
   out->link_updates.reserve(n);
   for (uint64_t i = 0; i < n; ++i) {

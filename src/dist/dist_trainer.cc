@@ -427,6 +427,14 @@ cold::Status DistTrainer::ExchangeUpdates(
     }
     core::SuperstepUpdate update;
     COLD_RETURN_NOT_OK(DecodeUpdate(frame.payload, &update));
+    for (const auto& entry : update.count_deltas) {
+      if (entry.first >= merge_acc_.size()) {
+        return cold::Status::IOError(
+            "rank " + std::to_string(r + 1) + " sent delta index " +
+            std::to_string(entry.first) + " outside the " +
+            std::to_string(merge_acc_.size()) + "-cell delta table");
+      }
+    }
     fold(update);
   }
   // Re-sparsify ascending — the canonical delta order (DrainDeltas emits

@@ -19,9 +19,9 @@ namespace cold::serve {
 namespace {
 
 /// Diffusion candidates scored by the request currently handled on this
-/// thread, logged as its batch size by the slow-request log (set by
-/// HandleDiffusion, consumed by Handle; 0 for every other endpoint).
-thread_local int tls_request_batch_size = 0;
+/// thread, logged by the slow-request log (set by HandleDiffusion, consumed
+/// by Handle; 0 for every other endpoint).
+thread_local int tls_request_candidates = 0;
 
 /// Per-endpoint request counter + latency histogram + error counter, all
 /// label-addressed members of three metric families.
@@ -108,32 +108,16 @@ HttpResponse JsonResponse(int code, const Json& payload) {
 
 ModelService::ModelService(ModelServiceOptions options)
     : options_(std::move(options)),
-      num_replicas_(std::max(1, options_.num_replicas)) {
-  const size_t shards = std::max<size_t>(1, options_.cache_shards);
-  const size_t per_replica =
-      options_.posterior_cache_capacity == 0
-          ? 0
-          : (options_.posterior_cache_capacity +
-             static_cast<size_t>(num_replicas_) - 1) /
-                static_cast<size_t>(num_replicas_);
+      cache_(options_.posterior_cache_capacity, kCacheShards) {
   auto& registry = obs::Registry::Global();
-  caches_.reserve(static_cast<size_t>(num_replicas_));
-  shard_metrics_.reserve(static_cast<size_t>(num_replicas_));
-  for (int r = 0; r < num_replicas_; ++r) {
-    caches_.push_back(std::make_unique<ShardedLruCache<std::vector<double>>>(
-        per_replica, shards));
-    std::vector<ShardMetrics> per_shard;
-    per_shard.reserve(shards);
-    for (size_t s = 0; s < shards; ++s) {
-      obs::Labels labels{{"replica", std::to_string(r)},
-                         {"shard", std::to_string(s)}};
-      per_shard.push_back(
-          ShardMetrics{registry.GetCounter("cold/serve/cache_hits", labels),
-                       registry.GetCounter("cold/serve/cache_misses", labels),
-                       registry.GetCounter("cold/serve/cache_evictions",
-                                           labels)});
-    }
-    shard_metrics_.push_back(std::move(per_shard));
+  shard_metrics_.reserve(kCacheShards);
+  for (size_t s = 0; s < kCacheShards; ++s) {
+    obs::Labels labels{{"shard", std::to_string(s)}};
+    shard_metrics_.push_back(
+        ShardMetrics{registry.GetCounter("cold/serve/cache_hits", labels),
+                     registry.GetCounter("cold/serve/cache_misses", labels),
+                     registry.GetCounter("cold/serve/cache_evictions",
+                                         labels)});
   }
 }
 
@@ -150,34 +134,25 @@ cold::Status ModelService::LoadFromFile(const std::string& path) {
   }
   std::shared_ptr<const ArenaSnapshot> snapshot =
       std::move(mapped).ValueOrDie();
-  // Every replica is a zero-copy view pinning the same mmap; replica
-  // count buys cache partitioning, not memory.
-  std::vector<std::shared_ptr<const core::ColdPredictor>> replicas;
-  replicas.reserve(static_cast<size_t>(num_replicas_));
-  for (int r = 0; r < num_replicas_; ++r) {
-    replicas.push_back(ViewPredictor(snapshot));
-  }
-  InstallReplicas(std::move(replicas), "coldarn1");
+  Install(ViewPredictor(std::move(snapshot)), "coldarn1");
   COLD_LOG(kInfo) << "cold_serve loaded snapshot " << path << " (generation "
-                  << generation() << ", " << num_replicas_ << " replicas)";
+                  << generation() << ")";
   return cold::Status::OK();
 }
 
 void ModelService::SetPredictor(
     std::shared_ptr<const core::ColdPredictor> predictor) {
-  std::vector<std::shared_ptr<const core::ColdPredictor>> replicas(
-      static_cast<size_t>(num_replicas_), std::move(predictor));
-  InstallReplicas(std::move(replicas), "in_memory");
+  Install(std::move(predictor), "in_memory");
 }
 
-void ModelService::InstallReplicas(
-    std::vector<std::shared_ptr<const core::ColdPredictor>> replicas,
+void ModelService::Install(
+    std::shared_ptr<const core::ColdPredictor> predictor,
     std::string format) {
   std::lock_guard<std::mutex> lock(reload_mutex_);
   auto next = std::make_shared<RouterState>();
   next->generation = generation_.load(std::memory_order_relaxed) + 1;
   next->format = std::move(format);
-  next->replicas = std::move(replicas);
+  next->predictor = std::move(predictor);
 
   // The previous generation is released after the lock, not under it.
   std::shared_ptr<const RouterState> previous;
@@ -194,36 +169,19 @@ void ModelService::InstallReplicas(
   generation_.fetch_add(1, std::memory_order_relaxed);
   // Posteriors are keyed by generation, so stale entries can never be
   // served; clearing just returns their memory promptly.
-  for (auto& cache : caches_) cache->Clear();
+  cache_.Clear();
   ServiceMetrics().reloads->Increment();
 }
 
 std::shared_ptr<const core::ColdPredictor> ModelService::predictor() const {
   auto current = state();
-  if (current == nullptr || current->replicas.empty()) return nullptr;
-  return current->replicas.front();
-}
-
-int ModelService::ReplicaFor(const RouterState& state, text::UserId author) {
-  if (state.replicas.size() <= 1) return 0;
-  // Home community: the author's strongest membership. TopComm is the
-  // same on every replica (they view one snapshot), so replica 0 answers.
-  auto top = state.replicas.front()->TopComm(author);
-  int home = top.empty() ? 0 : top.front();
-  if (home < 0) home = 0;
-  return home % static_cast<int>(state.replicas.size());
-}
-
-int ModelService::ReplicaForAuthor(text::UserId author) const {
-  auto current = state();
-  if (current == nullptr || current->replicas.empty()) return 0;
-  return ReplicaFor(*current, author);
+  return current == nullptr ? nullptr : current->predictor;
 }
 
 HttpResponse ModelService::Handle(const HttpRequest& request) {
   auto start = std::chrono::steady_clock::now();
   const char* endpoint = "unknown";
-  tls_request_batch_size = 0;
+  tls_request_candidates = 0;
   HttpResponse response = Route(request, &endpoint);
   double seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
@@ -241,7 +199,7 @@ HttpResponse ModelService::Handle(const HttpRequest& request) {
                        << request.path << " took "
                        << static_cast<int64_t>(seconds * 1000.0)
                        << "ms (status " << response.status_code
-                       << ", batch_size " << tls_request_batch_size << ")";
+                       << ", candidates " << tls_request_candidates << ")";
   }
   return response;
 }
@@ -301,13 +259,11 @@ HttpResponse ModelService::Route(const HttpRequest& request,
 }
 
 std::shared_ptr<const std::vector<double>> ModelService::PosteriorFor(
-    const core::ColdPredictor& model, int replica, int64_t generation,
+    const core::ColdPredictor& model, int64_t generation,
     text::UserId author, const std::vector<text::WordId>& words) {
   const std::string key = PosteriorKey(generation, author, words);
-  auto& cache = *caches_[static_cast<size_t>(replica)];
-  const ShardMetrics& shard =
-      shard_metrics_[static_cast<size_t>(replica)][cache.ShardOf(key)];
-  if (auto cached = cache.Get(key)) {
+  const ShardMetrics& shard = shard_metrics_[cache_.ShardOf(key)];
+  if (auto cached = cache_.Get(key)) {
     ServiceMetrics().hits->Increment();
     shard.hits->Increment();
     return cached;
@@ -316,17 +272,15 @@ std::shared_ptr<const std::vector<double>> ModelService::PosteriorFor(
   shard.misses->Increment();
   auto posterior = std::make_shared<const std::vector<double>>(
       model.TopicPosterior(words, author));
-  if (cache.Put(key, posterior)) shard.evictions->Increment();
+  if (cache_.Put(key, posterior)) shard.evictions->Increment();
   return posterior;
 }
 
 HttpResponse ModelService::HandleDiffusion(const HttpRequest& request) {
   auto current = state();
-  if (current == nullptr || current->replicas.empty()) {
-    return HttpResponse::Error(503, "no model loaded");
-  }
-  const int64_t gen = current->generation;
-  const auto& est = current->replicas.front()->estimates();
+  if (current == nullptr) return HttpResponse::Error(503, "no model loaded");
+  const core::ColdPredictor& model = *current->predictor;
+  const auto& est = model.estimates();
 
   // Sequential request phases as trace spans: emplace ends the previous
   // phase before the next begins, so the timeline shows parse -> predict
@@ -345,11 +299,6 @@ HttpResponse ModelService::HandleDiffusion(const HttpRequest& request) {
   std::vector<text::WordId> words = ToWordIds(*word_ids);
   auto author = static_cast<text::UserId>(*publisher);
 
-  // All candidates share the author, whose home community picks the
-  // replica (and therefore the posterior cache) for the whole request.
-  const int replica = ReplicaFor(*current, author);
-  const auto& model = current->replicas[static_cast<size_t>(replica)];
-
   // Either one "candidate" or a fan-out "candidates" array.
   std::vector<text::UserId> candidates;
   bool single = body.Find("candidates") == nullptr;
@@ -365,17 +314,17 @@ HttpResponse ModelService::HandleDiffusion(const HttpRequest& request) {
     }
     candidates.assign(ids->begin(), ids->end());
   }
-  tls_request_batch_size = static_cast<int>(candidates.size());
+  tls_request_candidates = static_cast<int>(candidates.size());
 
   // Inline on this thread for one candidate or many: one cache-assisted
   // Eq. (5) posterior for the post, then one Eq. (7) dot product per
   // candidate over it.
   phase.emplace("serve/predict");
-  auto posterior = PosteriorFor(*model, replica, gen, author, words);
+  auto posterior = PosteriorFor(model, current->generation, author, words);
   std::vector<double> probabilities;
   probabilities.reserve(candidates.size());
   for (text::UserId candidate : candidates) {
-    double p = model->DiffusionFromPosterior(author, candidate, *posterior);
+    double p = model.DiffusionFromPosterior(author, candidate, *posterior);
     if (std::isnan(p)) return HttpResponse::Error(500, "prediction failed");
     probabilities.push_back(p);
   }
@@ -392,10 +341,9 @@ HttpResponse ModelService::HandleDiffusion(const HttpRequest& request) {
 
 HttpResponse ModelService::HandleTopicPosterior(const HttpRequest& request) {
   auto current = state();
-  if (current == nullptr || current->replicas.empty()) {
-    return HttpResponse::Error(503, "no model loaded");
-  }
-  const auto& est = current->replicas.front()->estimates();
+  if (current == nullptr) return HttpResponse::Error(503, "no model loaded");
+  const core::ColdPredictor& model = *current->predictor;
+  const auto& est = model.estimates();
 
   auto parsed = Json::Parse(request.body);
   if (!parsed.ok()) return HttpResponse::FromStatus(parsed.status());
@@ -404,11 +352,9 @@ HttpResponse ModelService::HandleTopicPosterior(const HttpRequest& request) {
   auto word_ids = parsed->GetIntArray("words", est.V);
   if (!word_ids.ok()) return HttpResponse::FromStatus(word_ids.status());
 
-  auto author_id = static_cast<text::UserId>(*author);
-  const int replica = ReplicaFor(*current, author_id);
   auto posterior =
-      PosteriorFor(*current->replicas[static_cast<size_t>(replica)], replica,
-                   current->generation, author_id, ToWordIds(*word_ids));
+      PosteriorFor(model, current->generation,
+                   static_cast<text::UserId>(*author), ToWordIds(*word_ids));
   Json payload = Json::MakeObject();
   payload.Set("posterior", DoubleArray(*posterior));
   return JsonResponse(200, payload);
@@ -416,10 +362,9 @@ HttpResponse ModelService::HandleTopicPosterior(const HttpRequest& request) {
 
 HttpResponse ModelService::HandleLink(const HttpRequest& request) {
   auto current = state();
-  if (current == nullptr || current->replicas.empty()) {
-    return HttpResponse::Error(503, "no model loaded");
-  }
-  const auto& est = current->replicas.front()->estimates();
+  if (current == nullptr) return HttpResponse::Error(503, "no model loaded");
+  const core::ColdPredictor& model = *current->predictor;
+  const auto& est = model.estimates();
 
   auto parsed = Json::Parse(request.body);
   if (!parsed.ok()) return HttpResponse::FromStatus(parsed.status());
@@ -428,22 +373,18 @@ HttpResponse ModelService::HandleLink(const HttpRequest& request) {
   auto target = parsed->GetInt("target", 0, est.U - 1);
   if (!target.ok()) return HttpResponse::FromStatus(target.status());
 
-  auto source_id = static_cast<text::UserId>(*source);
-  const auto& model =
-      current->replicas[static_cast<size_t>(ReplicaFor(*current, source_id))];
   Json payload = Json::MakeObject();
   payload.Set("probability",
-              model->LinkProbability(source_id,
-                                     static_cast<text::UserId>(*target)));
+              model.LinkProbability(static_cast<text::UserId>(*source),
+                                    static_cast<text::UserId>(*target)));
   return JsonResponse(200, payload);
 }
 
 HttpResponse ModelService::HandleTimestamp(const HttpRequest& request) {
   auto current = state();
-  if (current == nullptr || current->replicas.empty()) {
-    return HttpResponse::Error(503, "no model loaded");
-  }
-  const auto& est = current->replicas.front()->estimates();
+  if (current == nullptr) return HttpResponse::Error(503, "no model loaded");
+  const core::ColdPredictor& model = *current->predictor;
+  const auto& est = model.estimates();
 
   auto parsed = Json::Parse(request.body);
   if (!parsed.ok()) return HttpResponse::FromStatus(parsed.status());
@@ -452,11 +393,8 @@ HttpResponse ModelService::HandleTimestamp(const HttpRequest& request) {
   auto word_ids = parsed->GetIntArray("words", est.V);
   if (!word_ids.ok()) return HttpResponse::FromStatus(word_ids.status());
 
-  auto author_id = static_cast<text::UserId>(*author);
-  const auto& model =
-      current->replicas[static_cast<size_t>(ReplicaFor(*current, author_id))];
-  std::vector<text::WordId> words = ToWordIds(*word_ids);
-  std::vector<double> scores = model->TimestampScores(words, author_id);
+  std::vector<double> scores = model.TimestampScores(
+      ToWordIds(*word_ids), static_cast<text::UserId>(*author));
   if (scores.empty()) return HttpResponse::Error(500, "prediction failed");
   int predicted = static_cast<int>(
       std::max_element(scores.begin(), scores.end()) - scores.begin());
@@ -481,7 +419,7 @@ HttpResponse ModelService::HandleInfluentialCommunities(
   int n = request.QueryInt("n", 5);
   if (n < 1) n = 1;
   if (n > est.C) n = est.C;
-  int trials = request.QueryInt("trials", options_.influence_trials);
+  int trials = request.QueryInt("trials", kInfluenceTrials);
   if (trials < 1) trials = 1;
   if (trials > 100000) trials = 100000;
 
@@ -508,14 +446,13 @@ HttpResponse ModelService::HandleInfluentialCommunities(
 HttpResponse ModelService::HandleHealth() {
   auto current = state();
   Json payload = Json::MakeObject();
-  if (current == nullptr || current->replicas.empty()) {
+  if (current == nullptr) {
     payload.Set("status", "no_model");
     return JsonResponse(503, payload);
   }
-  const auto& est = current->replicas.front()->estimates();
+  const auto& est = current->predictor->estimates();
   payload.Set("status", "ok");
   payload.Set("generation", generation());
-  payload.Set("replicas", static_cast<int64_t>(current->replicas.size()));
   payload.Set("snapshot_format", current->format);
   Json dims = Json::MakeObject();
   dims.Set("users", est.U);
@@ -543,7 +480,7 @@ HttpResponse ModelService::HandleDebugVars() {
   std::ostringstream os;
   os << "{\"generation\":" << generation()
      << ",\"model_loaded\":" << (current != nullptr ? "true" : "false")
-     << ",\"replicas\":" << num_replicas_ << ",\"snapshot_format\":\""
+     << ",\"snapshot_format\":\""
      << (current != nullptr ? current->format : "none")
      << "\",\"telemetry\":" << vars.str() << "}";
   HttpResponse r;

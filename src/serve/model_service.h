@@ -11,17 +11,16 @@
 //   GET  /debug/vars                  full JSON telemetry snapshot
 //   POST /admin/reload                atomic snapshot hot-reload
 //
-// Replica routing: the service holds R ColdPredictor replicas behind one
-// swappable RouterState. A query is routed by the home community
-// of its author (TopComm(author)[0] mod R), so each replica's posterior
-// cache concentrates on a disjoint slice of the community space instead
-// of all replicas thrashing one global LRU. Each replica's cache is
-// itself sharded (ShardedLruCache) so reactor threads landing on the
-// same replica contend per-shard, not per-cache.
+// Posterior cache: the service holds one ColdPredictor per generation (a
+// zero-copy view of the mapped COLDARN1 arena, or the in-memory predictor
+// SetPredictor installs) and one ShardedLruCache of Eq. (5) posteriors
+// keyed by (generation, author, words). The cache's kCacheShards mutexes
+// spread reactor threads by key hash, so concurrent requests contend per
+// shard, never on one global lock.
 //
 // Hot reload is an O(1) generation pointer swap: the new RouterState is
-// fully constructed off to the side (the replicas are zero-copy views into
-// one shared mmap of the COLDARN1 arena), then installed with
+// fully constructed off to the side (its predictor is a zero-copy view
+// into a fresh mmap of the COLDARN1 arena), then installed with
 // one pointer swap under router_mutex_, which requests hold only to copy
 // the pointer — cold/serve/reload_swap_seconds measures exactly that swap,
 // which is why the p99 reload stall is microseconds. Requests pin the
@@ -59,16 +58,11 @@ struct ModelServiceOptions {
   /// Nothing reads this: an arena's TopComm width is fixed in its header
   /// when it is saved. Kept only because e2ebench still sets it.
   int top_communities = 5;
-  /// Replicas queries are sharded across by home community (clamped to
-  /// >= 1). All replicas are views over one shared mmap.
+  /// Nothing reads this: the service holds one predictor and one cache.
+  /// Kept only because e2ebench still sets it.
   int num_replicas = 1;
-  /// Total entries across each replica's posterior LRU; 0 disables
-  /// caching. The per-replica budget is capacity / num_replicas.
+  /// Entries in the posterior LRU; 0 disables caching.
   size_t posterior_cache_capacity = 4096;
-  /// Mutex shards within each replica's posterior cache.
-  size_t cache_shards = 8;
-  /// Monte-Carlo IC trials for /v1/influential_communities (§6.6).
-  int influence_trials = 64;
   /// Requests slower than this are logged with method/path/latency and
   /// diffusion candidate count (the slow-request log); 0 disables it.
   int slow_request_ms = 0;
@@ -81,21 +75,19 @@ class ModelService {
   ModelService(const ModelService&) = delete;
   ModelService& operator=(const ModelService&) = delete;
 
-  /// \brief Maps and validates the COLDARN1 arena at `path`, builds
-  /// num_replicas view predictors over it, and swaps them in atomically.
-  /// Any other file is rejected, and on failure the previous model keeps
-  /// serving.
+  /// \brief Maps and validates the COLDARN1 arena at `path`, builds one
+  /// view predictor over it, and swaps it in atomically. Any other file is
+  /// rejected, and on failure the previous model keeps serving.
   cold::Status LoadFromFile(const std::string& path);
 
   /// \brief Reloads from options.model_path (the SIGHUP path).
   cold::Status Reload() { return LoadFromFile(options_.model_path); }
 
-  /// \brief Installs an in-memory predictor (tests, examples), shared by
-  /// every replica slot.
+  /// \brief Installs an in-memory predictor (tests, examples).
   void SetPredictor(std::shared_ptr<const core::ColdPredictor> predictor);
 
-  /// \brief Replica 0 of the current snapshot; may be nullptr before the
-  /// first load.
+  /// \brief The current snapshot's predictor; nullptr before the first
+  /// load.
   std::shared_ptr<const core::ColdPredictor> predictor() const;
 
   /// Number of successful swaps (initial load counts).
@@ -103,28 +95,28 @@ class ModelService {
     return generation_.load(std::memory_order_relaxed);
   }
 
-  int num_replicas() const { return num_replicas_; }
-
-  /// \brief The replica index author routes to under the current
-  /// snapshot (exposed for router tests); 0 when no model is loaded.
-  int ReplicaForAuthor(text::UserId author) const;
-
   /// \brief The HTTP entry point, safe for concurrent calls; wire this
   /// into HttpServer as the handler.
   HttpResponse Handle(const HttpRequest& request);
 
  private:
-  /// One immutable generation of the service: R predictor replicas over
-  /// one shared snapshot. Swapped wholesale by reloads.
+  /// Mutex shards of the posterior cache.
+  static constexpr size_t kCacheShards = 8;
+  /// Monte-Carlo IC trials for /v1/influential_communities (§6.6) when the
+  /// query sets no "trials".
+  static constexpr int kInfluenceTrials = 64;
+
+  /// One immutable generation of the service. Swapped wholesale by
+  /// reloads.
   struct RouterState {
     int64_t generation = 0;
     /// "coldarn1" (mmap arena) or "in_memory" (SetPredictor).
     std::string format;
-    std::vector<std::shared_ptr<const core::ColdPredictor>> replicas;
+    std::shared_ptr<const core::ColdPredictor> predictor;
   };
 
-  /// Per-(replica, shard) cache counters exported as
-  /// cold/serve/cache_{hits,misses,evictions}{replica=..,shard=..}.
+  /// Per-shard cache counters exported as
+  /// cold/serve/cache_{hits,misses,evictions}{shard=..}.
   struct ShardMetrics {
     obs::Counter* hits;
     obs::Counter* misses;
@@ -147,22 +139,17 @@ class ModelService {
     return router_;
   }
 
-  /// Builds the next generation around `replicas` and installs it with
+  /// Builds the next generation around `predictor` and installs it with
   /// one pointer swap (timed by cold/serve/reload_swap_seconds).
-  void InstallReplicas(
-      std::vector<std::shared_ptr<const core::ColdPredictor>> replicas,
-      std::string format);
+  void Install(std::shared_ptr<const core::ColdPredictor> predictor,
+               std::string format);
 
-  static int ReplicaFor(const RouterState& state, text::UserId author);
-
-  /// Cache-assisted Eq. (5) against `replica`'s cache; never nullptr for
-  /// validated inputs.
+  /// Cache-assisted Eq. (5); never nullptr for validated inputs.
   std::shared_ptr<const std::vector<double>> PosteriorFor(
-      const core::ColdPredictor& model, int replica, int64_t generation,
+      const core::ColdPredictor& model, int64_t generation,
       text::UserId author, const std::vector<text::WordId>& words);
 
   const ModelServiceOptions options_;
-  const int num_replicas_;
 
   /// Held only to copy or swap router_. Not std::atomic<std::shared_ptr>:
   /// libstdc++ 12's load() releases that type's internal lock with a
@@ -174,10 +161,10 @@ class ModelService {
   /// Serializes reloads (the swap itself is one pointer swap).
   std::mutex reload_mutex_;
 
-  /// One sharded posterior cache per replica, stable across reloads
-  /// (entries are generation-keyed, so stale hits are impossible).
-  std::vector<std::unique_ptr<ShardedLruCache<std::vector<double>>>> caches_;
-  std::vector<std::vector<ShardMetrics>> shard_metrics_;
+  /// Stable across reloads (entries are generation-keyed, so stale hits
+  /// are impossible).
+  ShardedLruCache<std::vector<double>> cache_;
+  std::vector<ShardMetrics> shard_metrics_;
 };
 
 }  // namespace cold::serve

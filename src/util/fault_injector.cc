@@ -96,16 +96,9 @@ void FaultInjector::ConfigureFromEnv() {
 void FaultInjector::Disarm() { entries_.clear(); }
 
 void FaultInjector::SetNodeRank(int rank) {
-  const char* fault_node = std::getenv("COLD_FAULT_NODE");
-  std::vector<Entry> kept;
-  for (Entry& entry : entries_) {
-    const bool matches =
-        entry.rank >= 0
-            ? entry.rank == rank
-            : (fault_node == nullptr || std::to_string(rank) == fault_node);
-    if (matches) kept.push_back(std::move(entry));
-  }
-  entries_ = std::move(kept);
+  std::erase_if(entries_, [rank](const Entry& entry) {
+    return entry.rank >= 0 && entry.rank != rank;
+  });
 }
 
 void FaultInjector::MaybeCrash(const char* point, int64_t n) {

@@ -50,8 +50,8 @@ class FaultInjector {
 
   /// \brief Narrows the armed entries to the given distributed node rank:
   /// entries scoped "@R" stay armed iff R == rank, and unscoped entries
-  /// stay armed iff COLD_FAULT_NODE is unset or equals rank (the legacy
-  /// one-rank narrowing). Call once per process after the rank is known.
+  /// stay armed on every rank. Call once per process after the rank is
+  /// known.
   void SetNodeRank(int rank);
 
   /// \brief Signals the process (SIGKILL or SIGSTOP per the matched

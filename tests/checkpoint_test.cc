@@ -8,7 +8,9 @@
 #include <unistd.h>
 
 #include <csignal>
+#include <cstdlib>
 #include <filesystem>
+#include <optional>
 #include <string>
 
 #include "core/checkpoint.h"
@@ -421,6 +423,37 @@ TEST(FaultInjectorTest, DisarmedInjectorNeverFires) {
   injector.MaybeCrash("other_point", 5);
   injector.Disarm();
   injector.MaybeCrash("after_sweep", 5);
+}
+
+/// SetNodeRank keeps an unscoped entry on every rank and an "@R" entry on
+/// rank R alone; the environment has no say (COLD_FAULT_NODE once narrowed
+/// unscoped entries to one rank, and "@R" replaced it).
+TEST(FaultInjectorTest, SetNodeRankScopesOnlyRankSuffixedEntries) {
+  struct EnvGuard {
+    std::optional<std::string> saved;
+    EnvGuard() {
+      if (const char* v = std::getenv("COLD_FAULT_NODE")) saved = v;
+      ::setenv("COLD_FAULT_NODE", "1", 1);
+    }
+    ~EnvGuard() {
+      if (saved) {
+        ::setenv("COLD_FAULT_NODE", saved->c_str(), 1);
+      } else {
+        ::unsetenv("COLD_FAULT_NODE");
+      }
+    }
+  } env;
+
+  FaultInjector injector;
+  ASSERT_TRUE(injector.Configure("after_sweep:3@1,after_sweep:5").ok());
+  injector.SetNodeRank(0);
+  EXPECT_TRUE(injector.armed());
+  // Would SIGKILL the test binary if the rank-1 entry survived on rank 0.
+  injector.MaybeCrash("after_sweep", 3);
+
+  ASSERT_TRUE(injector.Configure("after_sweep:3@1").ok());
+  injector.SetNodeRank(0);
+  EXPECT_FALSE(injector.armed());
 }
 
 // ------------------------------------------- crash/recovery integration --

@@ -16,6 +16,7 @@
 #include <fstream>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/checkpoint.h"
@@ -143,6 +144,37 @@ TEST(DeltaCodecTest, TruncatedPayloadRejected) {
   }
   // Trailing garbage is rejected too (exhaustion check).
   EXPECT_FALSE(DecodeUpdate(payload + "x", &decoded).ok());
+}
+
+/// A count field claims far more entries than the payload holds. Each
+/// decoder must call the payload truncated before it reserves anything: a
+/// reserve sized straight from the wire throws std::length_error.
+TEST(DeltaCodecTest, HostileCountsAreTruncatedNotReserved) {
+  auto append_u64 = [](std::string* out, uint64_t v) {
+    out->append(reinterpret_cast<const char*>(&v), sizeof(v));
+  };
+  // A hello whose trailing checkpoint-sweep count is 2^62.
+  std::string hello = EncodeHello(HelloPayload{});
+  hello.resize(hello.size() - sizeof(uint64_t));
+  append_u64(&hello, uint64_t{1} << 62);
+  HelloPayload decoded_hello;
+  cold::Status st = DecodeHello(hello, &decoded_hello);
+  EXPECT_EQ(st.code(), StatusCode::kIOError) << st.ToString();
+  EXPECT_NE(st.message().find("truncated"), std::string::npos);
+
+  // An update with 2^61 in each of its three counts in turn (the earlier
+  // sections empty), and nothing after it.
+  for (int hostile = 0; hostile < 3; ++hostile) {
+    SCOPED_TRACE("hostile count " + std::to_string(hostile));
+    std::string update;
+    for (int section = 0; section <= hostile; ++section) {
+      append_u64(&update, section == hostile ? uint64_t{1} << 61 : 0);
+    }
+    core::SuperstepUpdate decoded;
+    st = DecodeUpdate(update, &decoded);
+    EXPECT_EQ(st.code(), StatusCode::kIOError) << st.ToString();
+    EXPECT_NE(st.message().find("truncated"), std::string::npos);
+  }
 }
 
 TEST(DeltaCodecTest, FrameRoundTripOverLoopback) {
@@ -529,6 +561,50 @@ TEST(DistLivenessTest, HungPeerDetectedWithinTheLivenessDeadline) {
   int wstatus = 0;
   ASSERT_EQ(::waitpid(pid, &wstatus, 0), pid);
   ASSERT_TRUE(WIFSIGNALED(wstatus));
+}
+
+/// A fake rank 1 completes a valid handshake, then sends a CRC-valid delta
+/// frame whose count index lies far outside the delta table. The
+/// coordinator must refuse it with an error naming the rank instead of
+/// folding the index into its accumulator.
+TEST(DistTrainerTest, CoordinatorRejectsOutOfRangeDeltaIndex) {
+  const auto& ds = TestData();
+  const DistConfig config = TestDistConfig(2, 0);
+  std::unique_ptr<Transport> coord_end, fake_end;
+  ASSERT_TRUE(LoopbackPair(&coord_end, &fake_end).ok());
+
+  cold::Status hello_sent, welcome_read, delta_sent;
+  std::thread fake_worker([&] {
+    HelloPayload hello;
+    hello.rank = 1;
+    hello.num_nodes = 2;
+    hello.seed = config.cold.seed;
+    hello.iterations = config.cold.iterations;
+    hello.num_communities = config.cold.num_communities;
+    hello.num_topics = config.cold.num_topics;
+    hello.data_fingerprint = core::DataFingerprint(ds.posts, &ds.interactions);
+    hello_sent = WriteFrame(fake_end.get(), FrameType::kHello, 1, 0,
+                            EncodeHello(hello), 10000);
+    welcome_read = ReadFrame(fake_end.get(), 1 << 20, 10000).status();
+    core::SuperstepUpdate hostile;
+    hostile.count_deltas = {{0xFFFFFF00u, 1}};
+    delta_sent = WriteFrame(fake_end.get(), FrameType::kDelta, 1, 0,
+                            EncodeUpdate(hostile), 10000);
+  });
+
+  DistTrainer coordinator(config, ds.posts, &ds.interactions);
+  std::vector<std::unique_ptr<Transport>> peers;
+  peers.push_back(std::move(coord_end));
+  const cold::Status st = coordinator.Run(std::move(peers));
+  fake_worker.join();
+
+  ASSERT_TRUE(hello_sent.ok()) << hello_sent.ToString();
+  ASSERT_TRUE(welcome_read.ok()) << welcome_read.ToString();
+  ASSERT_TRUE(delta_sent.ok()) << delta_sent.ToString();
+  EXPECT_EQ(st.code(), StatusCode::kIOError) << st.ToString();
+  EXPECT_NE(st.message().find("rank 1"), std::string::npos) << st.ToString();
+  EXPECT_NE(st.message().find("delta index"), std::string::npos)
+      << st.ToString();
 }
 
 TEST(DistTrainerTest, RejectsBadPeerCount) {

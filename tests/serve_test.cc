@@ -458,7 +458,7 @@ TEST_F(ServeTest, DebugVarsExposesTelemetryWithQuantiles) {
   EXPECT_TRUE(found_request_seconds);
 }
 
-TEST_F(ServeTest, SlowRequestLogRecordsMethodPathLatencyAndBatchSize) {
+TEST_F(ServeTest, SlowRequestLogRecordsMethodPathLatencyAndCandidates) {
   ModelServiceOptions options;
   options.slow_request_ms = 1;  // lowest enabled threshold
   StartServer(options);
@@ -477,9 +477,9 @@ TEST_F(ServeTest, SlowRequestLogRecordsMethodPathLatencyAndBatchSize) {
   });
 
   // A max-trials influence scan burns well past 1ms of CPU, and a
-  // diffusion fan-out records its candidate count as the batch size; at
-  // least one of the two must cross the threshold and the logged line must
-  // carry method, path, latency and batch size.
+  // diffusion fan-out records its candidate count; at least one of the two
+  // must cross the threshold and the logged line must carry method, path,
+  // latency and candidate count.
   auto slow =
       client_.Get("/v1/influential_communities?topic=1&n=3&trials=100000");
   ASSERT_TRUE(slow.ok());
@@ -502,7 +502,7 @@ TEST_F(ServeTest, SlowRequestLogRecordsMethodPathLatencyAndBatchSize) {
         line.find("POST /v1/diffusion") != std::string::npos;
     EXPECT_TRUE(has_method_and_path) << line;
     EXPECT_NE(line.find("ms (status"), std::string::npos) << line;
-    EXPECT_NE(line.find("batch_size"), std::string::npos) << line;
+    EXPECT_NE(line.find("candidates"), std::string::npos) << line;
   }
   EXPECT_TRUE(found_slow) << "no slow-request warning captured";
 
@@ -550,7 +550,7 @@ TEST_F(ServeTest, ConcurrentRequestsAllSucceedAndAgree) {
   core::ColdPredictor direct(estimates_, 3);
   std::vector<text::WordId> words = {1, 2, 3};
   // Odd clients fan out to three candidates, so inline fan-outs run
-  // concurrently with single-candidate requests over one replica's cache
+  // concurrently with single-candidate requests over the posterior cache's
   // shards.
   const std::string single =
       R"({"publisher": 1, "candidate": 2, "words": [1, 2, 3]})";
@@ -823,6 +823,49 @@ TEST(ModelServiceTest, FanOutComputesOnePosteriorAndMatchesEq7Exactly) {
   }
 }
 
+TEST(ModelServiceTest, ShardCountersSumToServiceCounters) {
+  ModelService service{ModelServiceOptions{}};
+  service.SetPredictor(
+      std::make_shared<const core::ColdPredictor>(RandomEstimates(41), 3));
+  auto& registry = obs::Registry::Global();
+  obs::Counter* hits = registry.GetCounter("cold/serve/posterior_cache_hits");
+  obs::Counter* misses =
+      registry.GetCounter("cold/serve/posterior_cache_misses");
+  // The per-shard family is registered for shards 0..7 by the service.
+  std::vector<obs::Counter*> shard_hits, shard_misses;
+  for (int s = 0; s < 8; ++s) {
+    const obs::Labels labels{{"shard", std::to_string(s)}};
+    shard_hits.push_back(registry.GetCounter("cold/serve/cache_hits", labels));
+    shard_misses.push_back(
+        registry.GetCounter("cold/serve/cache_misses", labels));
+  }
+  auto sum = [](const std::vector<obs::Counter*>& counters) {
+    int64_t total = 0;
+    for (const obs::Counter* c : counters) total += c->Value();
+    return total;
+  };
+  const int64_t hits0 = hits->Value(), misses0 = misses->Value();
+  const int64_t shard_hits0 = sum(shard_hits);
+  const int64_t shard_misses0 = sum(shard_misses);
+
+  // 36 queries over 12 distinct (author, words) keys: each key misses once
+  // and then hits, spread over the shards by key hash.
+  for (int i = 0; i < 36; ++i) {
+    HttpRequest request;
+    request.method = "POST";
+    request.path = "/v1/topic_posterior";
+    request.body = "{\"author\": " + std::to_string(i % 12) +
+                   ", \"words\": [" + std::to_string(i % 12) + ", 3]}";
+    ASSERT_EQ(service.Handle(request).status_code, 200);
+  }
+  const int64_t hit_delta = hits->Value() - hits0;
+  const int64_t miss_delta = misses->Value() - misses0;
+  EXPECT_EQ(miss_delta, 12);
+  EXPECT_EQ(hit_delta, 24);
+  EXPECT_EQ(sum(shard_hits) - shard_hits0, hit_delta);
+  EXPECT_EQ(sum(shard_misses) - shard_misses0, miss_delta);
+}
+
 // ---------------------------------------------------------------------------
 // ShardedLruCache
 
@@ -964,67 +1007,6 @@ TEST_F(ArenaServeTest, TornWriteIsDetected) {
   ASSERT_FALSE(status.ok());
   EXPECT_NE(status.message().find("arena size mismatch"), std::string::npos)
       << status.ToString();
-}
-
-// ---------------------------------------------------------------------------
-// Replica routing
-
-TEST_F(ArenaServeTest, EveryAuthorRoutesToExactlyOneReplica) {
-  ModelServiceOptions options;
-  options.num_replicas = 3;
-  ModelService service(options);
-  ASSERT_TRUE(service.LoadFromFile(arena_path_).ok());
-  ASSERT_EQ(service.num_replicas(), 3);
-
-  auto predictor = service.predictor();
-  ASSERT_NE(predictor, nullptr);
-  for (int u = 0; u < estimates_.U; ++u) {
-    int replica = service.ReplicaForAuthor(u);
-    ASSERT_GE(replica, 0);
-    ASSERT_LT(replica, 3);
-    // The route is the author's home community mod R — deterministic and
-    // shared by every author with the same home.
-    int home = predictor->TopComm(u).front();
-    EXPECT_EQ(replica, home % 3);
-    EXPECT_EQ(service.ReplicaForAuthor(u), replica);
-  }
-}
-
-TEST_F(ArenaServeTest, ShardedReplicasAnswerByteIdenticalToSingleReplica) {
-  ModelServiceOptions single_options;
-  single_options.num_replicas = 1;
-  ModelService single(single_options);
-  ASSERT_TRUE(single.LoadFromFile(arena_path_).ok());
-
-  ModelServiceOptions sharded_options;
-  sharded_options.num_replicas = 3;
-  sharded_options.cache_shards = 4;
-  ModelService sharded(sharded_options);
-  ASSERT_TRUE(sharded.LoadFromFile(arena_path_).ok());
-
-  struct Case {
-    const char* target;
-    const char* body;
-  };
-  const Case cases[] = {
-      {"/v1/diffusion",
-       R"({"publisher": 0, "candidate": 5, "words": [1, 2, 3]})"},
-      {"/v1/diffusion", R"({"publisher": 3, "candidate": 9, "words": [0]})"},
-      {"/v1/diffusion",
-       R"({"publisher": 7, "candidates": [1, 2, 3], "words": [4, 5]})"},
-      {"/v1/topic_posterior", R"({"author": 4, "words": [1, 2]})"},
-      {"/v1/link", R"({"source": 2, "target": 8})"},
-  };
-  for (const Case& c : cases) {
-    HttpRequest request;
-    request.method = "POST";
-    request.path = c.target;
-    request.body = c.body;
-    HttpResponse lhs = single.Handle(request);
-    HttpResponse rhs = sharded.Handle(request);
-    ASSERT_EQ(lhs.status_code, 200) << c.target << ": " << lhs.body;
-    EXPECT_EQ(lhs.body, rhs.body) << c.target;
-  }
 }
 
 // ---------------------------------------------------------------------------

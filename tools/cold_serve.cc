@@ -1,32 +1,29 @@
 // cold_serve — the COLD prediction server (the online half of §5.2's
 // offline/online split): maps the COLDARN1 arena that cold_train writes,
-// builds zero-copy ColdPredictor replicas over it, and serves the JSON
+// builds one zero-copy ColdPredictor over it, and serves the JSON
 // inference API over HTTP/1.1 from an epoll event loop. Any other file
 // fails startup with exit code 1. TopComm rows come baked into the arena.
 //
-// Usage: cold_serve <model> [--port N] [--reactors N] [--replicas N]
+// Usage: cold_serve <model> [--port N] [--reactors N]
 //                   [--idle-timeout-seconds N] [--cache N]
-//                   [--cache-shards N] [--max-inflight N]
-//                   [--slow-request-ms N]
+//                   [--max-inflight N] [--slow-request-ms N]
 //
 // --reactors picks the event-loop thread count (0 = one per hardware
 // thread, capped at 16). --idle-timeout-seconds closes a connection on
 // which no byte has moved either way for N seconds (0 = never): a
 // keep-alive client idle between requests, or one that stopped reading its
-// responses. --replicas shards queries across N predictor replicas by the
-// author's home community; all replicas share one mmap of the arena. Every
-// request is answered on the thread that parsed it; a /v1/diffusion
-// fan-out computes its post's topic posterior once and scores each
-// candidate against it.
-// Posteriors are kept per snapshot generation in an LRU of --cache
-// entries split over --cache-shards shards.
+// responses. Every request is answered on the thread that parsed it; a
+// /v1/diffusion fan-out computes its post's topic posterior once and
+// scores each candidate against it.
+// Posteriors are kept per snapshot generation in one LRU of --cache
+// entries, split over 8 mutex shards by key hash.
 //
 // --max-inflight enables load shedding: connections beyond N concurrently
 // serviced ones are answered 503 + Retry-After instead of queueing (0 =
 // accept everything; counted by the serve_shed_total metric).
 //
 // --slow-request-ms N logs any request slower than N ms with its method,
-// path, latency and diffusion candidate count, logged as batch_size (0
+// path, latency and diffusion candidate count, logged as candidates (0
 // disables the log).
 //
 // Endpoints: POST /v1/diffusion, /v1/topic_posterior, /v1/link,
@@ -62,8 +59,7 @@ void OnSignal(int sig) {
 int Usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s <model> [--port N=8080] [--reactors N=0] "
-               "[--replicas N=1] [--idle-timeout-seconds N=5] "
-               "[--cache N=4096] [--cache-shards N=8] "
+               "[--idle-timeout-seconds N=5] [--cache N=4096] "
                "[--max-inflight N=0] [--slow-request-ms N=0]\n",
                argv0);
   return 2;
@@ -91,9 +87,7 @@ int main(int argc, char** argv) {
   std::string model_path = argv[1];
   int port = 8080;
   int reactors = 0;
-  int replicas = 1;
   int idle_timeout = 5;
-  int cache_shards = 8;
   int cache = 4096;
   int max_inflight = 0;
   int slow_request_ms = 0;
@@ -107,12 +101,8 @@ int main(int argc, char** argv) {
       if (!next(0, 65535, &port)) return Usage(argv[0]);
     } else if (std::strcmp(arg, "--reactors") == 0) {
       if (!next(0, 1024, &reactors)) return Usage(argv[0]);
-    } else if (std::strcmp(arg, "--replicas") == 0) {
-      if (!next(1, 1024, &replicas)) return Usage(argv[0]);
     } else if (std::strcmp(arg, "--idle-timeout-seconds") == 0) {
       if (!next(0, 86400, &idle_timeout)) return Usage(argv[0]);
-    } else if (std::strcmp(arg, "--cache-shards") == 0) {
-      if (!next(1, 4096, &cache_shards)) return Usage(argv[0]);
     } else if (std::strcmp(arg, "--cache") == 0) {
       if (!next(0, 1 << 24, &cache)) return Usage(argv[0]);
     } else if (std::strcmp(arg, "--max-inflight") == 0) {
@@ -127,9 +117,7 @@ int main(int argc, char** argv) {
 
   serve::ModelServiceOptions service_options;
   service_options.model_path = model_path;
-  service_options.num_replicas = replicas;
   service_options.posterior_cache_capacity = static_cast<size_t>(cache);
-  service_options.cache_shards = static_cast<size_t>(cache_shards);
   service_options.slow_request_ms = slow_request_ms;
 
   serve::ModelService service(service_options);

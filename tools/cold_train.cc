@@ -5,10 +5,17 @@
 // cold_serve and cold_predict both map that one file.
 //
 // Usage: cold_train <dataset-dir> <model-out> [C=8] [K=12] [iterations=150]
-//                   [--parallel] [--threads N] [--metrics-out FILE] [--trace]
-//                   [--trace-out FILE] [--profile] [--profile-out FILE]
-//                   [--oversubscribe] [--checkpoint-dir DIR]
-//                   [--checkpoint-every N] [--checkpoint-keep N] [--resume]
+//                   [--parallel] [--threads N]
+//                   [--nodes N [--node-rank R --coordinator HOST:PORT]]
+//                   [--max-restarts K] [--heartbeat-interval-ms N]
+//                   [--heartbeat-timeout-ms N] [--progress-timeout-ms N]
+//                   [--metrics-out FILE] [--trace] [--trace-out FILE]
+//                   [--profile] [--profile-out FILE] [--oversubscribe]
+//                   [--checkpoint-dir DIR] [--checkpoint-every N]
+//                   [--checkpoint-keep N] [--resume]
+//
+// The topic kernel follows K: the exact dense scan below 32 topics, alias
+// + Metropolis-Hastings at 32 and above (DESIGN.md §13).
 //
 // --parallel trains on the single-process GAS engine with --threads N
 // worker threads (default 1; results are bit-identical at any worker
@@ -44,9 +51,9 @@
 // rank is launched separately and rank 0 listens on PORT. A fixed seed
 // produces bit-identical models for every node count. --checkpoint-dir
 // gets a per-rank subdirectory (node-<rank>); on --resume the cluster
-// negotiates the newest sweep every node can load. COLD_FAULT_NODE=R
-// restricts COLD_FAULT_POINT to rank R (the node-death drill of
-// tools/distloop_train.sh).
+// negotiates the newest sweep every node can load. An "@R" suffix on a
+// COLD_FAULT_POINT entry (e.g. "after_sweep:4@1") aims it at rank R alone
+// (the node-death drill of tools/distloop_train.sh).
 //
 // Self-healing (DESIGN.md §12): every node heartbeats its peers
 // (--heartbeat-interval-ms) and bounds every receive by a liveness
@@ -107,8 +114,7 @@ int Usage(const char* argv0) {
                "[--metrics-out FILE] [--trace] [--trace-out FILE] "
                "[--profile] [--profile-out FILE] [--oversubscribe] "
                "[--checkpoint-dir DIR] "
-               "[--checkpoint-every N] [--checkpoint-keep N] [--resume] "
-               "[--topic-sampling auto|dense|sparse] [--sparse-mh-steps N]\n",
+               "[--checkpoint-every N] [--checkpoint-keep N] [--resume]\n",
                argv0);
   return 2;
 }
@@ -167,10 +173,6 @@ struct Args {
   int checkpoint_every = 10;
   int checkpoint_keep = 3;
   bool resume = false;
-  /// Topic-draw strategy (DESIGN.md §13): auto picks sparse for K >= 32.
-  cold::core::TopicSampling topic_sampling =
-      cold::core::TopicSampling::kAuto;
-  int sparse_mh_steps = 2;
 };
 
 /// Writes `estimates` to <model-out> as a COLDARN1 arena. Returns false
@@ -304,31 +306,6 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       }
     } else if (std::strcmp(arg, "--resume") == 0) {
       args->resume = true;
-    } else if (std::strcmp(arg, "--topic-sampling") == 0) {
-      if (a + 1 >= argc) {
-        std::fprintf(stderr,
-                     "--topic-sampling requires auto|dense|sparse\n");
-        return false;
-      }
-      const char* mode = argv[++a];
-      if (std::strcmp(mode, "auto") == 0) {
-        args->topic_sampling = cold::core::TopicSampling::kAuto;
-      } else if (std::strcmp(mode, "dense") == 0) {
-        args->topic_sampling = cold::core::TopicSampling::kDense;
-      } else if (std::strcmp(mode, "sparse") == 0) {
-        args->topic_sampling = cold::core::TopicSampling::kSparse;
-      } else {
-        std::fprintf(stderr,
-                     "unknown topic sampling '%s' (auto|dense|sparse)\n",
-                     mode);
-        return false;
-      }
-    } else if (std::strcmp(arg, "--sparse-mh-steps") == 0) {
-      if (a + 1 >= argc ||
-          !ParsePositiveInt(argv[++a], &args->sparse_mh_steps)) {
-        std::fprintf(stderr, "--sparse-mh-steps requires a positive int\n");
-        return false;
-      }
     } else if (arg[0] == '-' && arg[1] != '\0') {
       std::fprintf(stderr, "unknown flag '%s'\n", arg);
       return false;
@@ -604,9 +581,9 @@ int RunDistNode(const Args& args, const cold::core::ColdConfig& config,
                 bool force_resume) {
   using namespace cold;
 
-  // Narrow the armed fault entries to this rank (unscoped entries honor
-  // the legacy COLD_FAULT_NODE narrowing), and arm the network chaos
-  // layer from COLD_NET_FAULT.
+  // Narrow the armed fault entries to this rank (entries scoped "@R" to
+  // another rank disarm; unscoped ones fire on every rank), and arm the
+  // network chaos layer from COLD_NET_FAULT.
   FaultInjector::Global().SetNodeRank(rank);
   dist::NetFaultInjector::Global().ConfigureFromEnv();
   dist::NetFaultInjector::Global().SetNodeRank(rank);
@@ -895,8 +872,6 @@ int main(int argc, char** argv) {
   config.rho = 0.5;
   config.alpha = 0.5;
   config.kappa = 10.0;
-  config.topic_sampling = args.topic_sampling;
-  config.sparse_mh_steps = args.sparse_mh_steps;
   if (auto st = config.Validate(); !st.ok()) {
     std::fprintf(stderr, "config: %s\n", st.ToString().c_str());
     return 1;

@@ -4,8 +4,8 @@
 #   cold_generate -> single-process reference (--parallel --threads 1)
 #                 -> the value-taking `--parallel 1` spelling exits 2
 #                 -> clean --nodes 2 run, model must be byte-identical
-#                 -> --nodes 2 again with one node SIGKILL'd mid-run via
-#                    COLD_FAULT_NODE/COLD_FAULT_POINT (job must abort)
+#                 -> --nodes 2 again with node 1 SIGKILL'd mid-run by a
+#                    rank-scoped COLD_FAULT_POINT entry (job must abort)
 #                 -> --resume restart picks up the common checkpoint sweep
 #                 -> resumed model must be byte-identical to the reference
 #
@@ -71,7 +71,7 @@ echo "  ${NODES}-node model is byte-identical to the reference"
 
 echo "== SIGKILL node 1 mid-training; the job must abort =="
 set +e
-COLD_FAULT_NODE=1 COLD_FAULT_POINT="after_sweep:${KILL_SWEEP}" \
+COLD_FAULT_POINT="after_sweep:${KILL_SWEEP}@1" \
   "${BUILD_DIR}/tools/cold_train" "${WORK_DIR}/data" \
   "${WORK_DIR}/model_crashed.bin" "${C}" "${K}" "${ITERATIONS}" \
   --nodes "${NODES}" --threads 1 \

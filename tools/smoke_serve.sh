@@ -7,15 +7,16 @@
 # cold_train writes its model as the arena that both cold_predict and
 # cold_serve map; cold_predict must answer from it, and both must refuse a
 # file that is not an arena (a legacy COLDEST1 header) with exit 1. Drives
-# the serving event loop over that arena with two reactors and two
-# replicas: N sequential /v1/diffusion POSTs
-# must all return HTTP 200, two hot reloads must land (a POST
-# /admin/reload probe takes the model to generation 2, a SIGHUP sent
-# during the load to generation 3), /metrics must report a request count
-# consistent with the load, and the reload swap stall measured by
-# cold/serve/reload_swap_seconds must stay under a generous bound. The
-# removed flags cold_train --arena-out and cold_serve --blocking and
-# --top-communities must exit 2.
+# the serving event loop over that arena with two reactors: N sequential
+# /v1/diffusion POSTs must all return HTTP 200, two hot reloads must land
+# (a POST /admin/reload probe takes the model to generation 2, a SIGHUP
+# sent during the load to generation 3), /metrics must report a request
+# count consistent with the load, the per-shard posterior cache counters
+# in /debug/vars must sum to the service totals, and the reload swap stall
+# measured by cold/serve/reload_swap_seconds must stay under a generous
+# bound. The removed flags cold_train --arena-out, --topic-sampling and
+# --sparse-mh-steps, and cold_serve --blocking, --top-communities,
+# --replicas and --cache-shards must exit 2.
 #
 # Usage: tools/smoke_serve.sh [build-dir] [num-requests]
 set -euo pipefail
@@ -89,10 +90,19 @@ expect_usage "cold_serve --blocking" "${BUILD_DIR}/tools/cold_serve" \
   "${WORK_DIR}/model.arena" --port 0 --blocking
 expect_usage "cold_serve --top-communities" "${BUILD_DIR}/tools/cold_serve" \
   "${WORK_DIR}/model.arena" --port 0 --top-communities 1
+expect_usage "cold_serve --replicas" "${BUILD_DIR}/tools/cold_serve" \
+  "${WORK_DIR}/model.arena" --port 0 --replicas 2
+expect_usage "cold_serve --cache-shards" "${BUILD_DIR}/tools/cold_serve" \
+  "${WORK_DIR}/model.arena" --port 0 --cache-shards 4
+expect_usage "cold_train --topic-sampling" "${BUILD_DIR}/tools/cold_train" \
+  "${WORK_DIR}/data" "${WORK_DIR}/unused.arena" 4 6 40 --topic-sampling sparse
+expect_usage "cold_train --sparse-mh-steps" "${BUILD_DIR}/tools/cold_train" \
+  "${WORK_DIR}/data" "${WORK_DIR}/unused.arena" 4 6 40 --sparse-mh-steps 3
+[[ ! -e "${WORK_DIR}/unused.arena" ]] || die "rejected cold_train wrote a model"
 
-echo "== start cold_serve (epoll, arena snapshot, 2 reactors, 2 replicas) =="
+echo "== start cold_serve (epoll, arena snapshot, 2 reactors) =="
 "${BUILD_DIR}/tools/cold_serve" "${WORK_DIR}/model.arena" --port 0 \
-  --reactors 2 --replicas 2 >"${SERVE_LOG}" 2>&1 &
+  --reactors 2 >"${SERVE_LOG}" 2>&1 &
 SERVE_PID=$!
 
 PORT=""
@@ -212,7 +222,16 @@ assert "generation" in vars, "missing generation"
 assert vars["generation"] >= 3, f"SIGHUP reload never landed: {vars['generation']}"
 assert vars["snapshot_format"] == "coldarn1", \
     f"not serving from the arena: {vars.get('snapshot_format')}"
-assert vars["replicas"] == 2, f"replica count: {vars.get('replicas')}"
+# The posterior cache's {shard} series add up to the service totals.
+counters = vars["telemetry"]["counters"]
+def total(name):
+    return sum(c["value"] for c in counters if c["name"] == name)
+for kind in ("hits", "misses"):
+    shards = total(f"cold/serve/cache_{kind}")
+    service = total(f"cold/serve/posterior_cache_{kind}")
+    assert shards == service, f"cache_{kind} shards sum {shards} != {service}"
+assert total("cold/serve/posterior_cache_hits") > 0, "no cache hits"
+print("  cache_hits/misses shard sums match the service totals")
 hists = vars["telemetry"]["histograms"]
 assert hists, "no histograms exported"
 by_name = {h["name"]: h for h in hists}
