@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <numeric>
+#include <ostream>
 
 #include "core/cold.h"
 #include "data/split.h"
@@ -45,6 +46,17 @@ struct GibbsCase {
   bool use_network;
   core::LinkSampling link_sampling;
 };
+
+// Prints a case as e.g. C3_K4_net_joint, which gtest_discover_tests puts
+// in the ctest name. gtest would otherwise print the struct's bytes,
+// padding included, so the names would change between builds. (A name
+// generator alone would not do: gtest_discover_tests keeps a generated
+// name and appends the printed bytes to it.)
+void PrintTo(const GibbsCase& p, std::ostream* os) {
+  const char* kLinks[] = {"auto", "joint", "alternating"};
+  *os << 'C' << p.C << "_K" << p.K << (p.use_network ? "_net_" : "_nonet_")
+      << kLinks[static_cast<int>(p.link_sampling)];
+}
 
 class GibbsSweep : public ::testing::TestWithParam<GibbsCase> {};
 

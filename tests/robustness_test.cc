@@ -4,10 +4,14 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "baselines/eutb.h"
 #include "baselines/lda.h"
@@ -19,6 +23,7 @@
 #include "data/synthetic.h"
 #include "text/tokenizer.h"
 #include "util/fileio.h"
+#include "util/rng.h"
 
 namespace cold {
 namespace {
@@ -55,8 +60,80 @@ class CorruptDatasetTest : public ::testing::Test {
     out << content;
   }
 
+  std::string Read(const std::string& file) const {
+    auto text = ReadFileToString(dir_ + "/" + file);
+    EXPECT_TRUE(text.ok()) << text.status().ToString();
+    return text.ok() ? *text : std::string();
+  }
+
   std::string dir_;
 };
+
+/// `text` with tab-separated field `field` of line `line` (from 1) set to
+/// `value`; a field one past the last is appended.
+std::string ReplaceField(const std::string& text, int line, size_t field,
+                         const std::string& value) {
+  std::stringstream in(text);
+  std::string out, row;
+  for (int n = 1; std::getline(in, row); ++n) {
+    if (n == line) {
+      std::vector<std::string> fields;
+      std::stringstream cells(row);
+      for (std::string cell; std::getline(cells, cell, '\t');) {
+        fields.push_back(cell);
+      }
+      fields.resize(std::max(fields.size(), field + 1));
+      fields[field] = value;
+      row.clear();
+      for (size_t f = 0; f < fields.size(); ++f) {
+        row += (f > 0 ? "\t" : "") + fields[f];
+      }
+    }
+    out += row + "\n";
+  }
+  return out;
+}
+
+/// Every id a loaded dataset hands the trainers is in range.
+void ExpectIdsInRange(const data::SocialDataset& ds) {
+  const int U = ds.num_users(), D = ds.posts.num_posts();
+  const int V = ds.vocabulary.size(), T = ds.num_time_slices();
+  auto in = [](int id, int limit) { return id >= 0 && id < limit; };
+  for (text::PostId d = 0; d < D; ++d) {
+    EXPECT_TRUE(in(ds.posts.author(d), U)) << "post " << d;
+    EXPECT_TRUE(in(ds.posts.time(d), T)) << "post " << d;
+    for (text::WordId w : ds.posts.words(d)) {
+      EXPECT_TRUE(in(w, V)) << "post " << d;
+    }
+  }
+  for (const graph::Digraph* g : {&ds.followers, &ds.interactions}) {
+    EXPECT_EQ(g->num_nodes(), U);
+    for (graph::EdgeId e = 0; e < g->num_edges(); ++e) {
+      EXPECT_TRUE(in(g->edge(e).src, U) && in(g->edge(e).dst, U));
+    }
+  }
+  for (const data::RetweetTuple& t : ds.retweets) {
+    EXPECT_TRUE(in(t.author, U) && in(t.post, D));
+    for (text::UserId i : t.retweeters) EXPECT_TRUE(in(i, U));
+    for (text::UserId i : t.ignorers) EXPECT_TRUE(in(i, U));
+  }
+}
+
+/// Posts, both graphs and every retweet tuple of `a` and `b` agree.
+void ExpectSameDataset(const data::SocialDataset& a,
+                       const data::SocialDataset& b) {
+  EXPECT_EQ(core::DataFingerprint(a.posts, &a.interactions),
+            core::DataFingerprint(b.posts, &b.interactions));
+  EXPECT_EQ(core::DataFingerprint(a.posts, &a.followers),
+            core::DataFingerprint(b.posts, &b.followers));
+  ASSERT_EQ(a.retweets.size(), b.retweets.size());
+  for (size_t i = 0; i < a.retweets.size(); ++i) {
+    EXPECT_EQ(a.retweets[i].author, b.retweets[i].author);
+    EXPECT_EQ(a.retweets[i].post, b.retweets[i].post);
+    EXPECT_EQ(a.retweets[i].retweeters, b.retweets[i].retweeters);
+    EXPECT_EQ(a.retweets[i].ignorers, b.retweets[i].ignorers);
+  }
+}
 
 TEST_F(CorruptDatasetTest, IntactRoundTripLoads) {
   EXPECT_TRUE(data::LoadDataset(dir_).ok());
@@ -95,6 +172,165 @@ TEST_F(CorruptDatasetTest, EmptyLinesInPostsAreSkipped) {
                       std::istreambuf_iterator<char>());
   Overwrite("posts.tsv", "\n" + content + "\n\n");
   EXPECT_TRUE(data::LoadDataset(dir_).ok());
+}
+
+// One field of line 2 of one file, replaced. Before the loader checked
+// ranges, the first six crashed cold_train (SIGSEGV, or std::stol throwing)
+// or trained on an uninitialized or out-of-range value.
+TEST_F(CorruptDatasetTest, HostileFieldIsRejectedWithFileAndLine) {
+  struct Edit {
+    const char* file;
+    size_t field;
+    const char* value;
+    const char* reason;
+  };
+  const Edit kEdits[] = {
+      {"links.tsv", 1, "50000000", "dst 50000000 outside [0, 30)"},
+      {"posts.tsv", 2, "-7000000", "word id -7000000 outside"},
+      {"retweets.tsv", 2, "r:abc", "retweeter 'abc' is not a number"},
+      {"retweets.tsv", 2, "r:99999999999999999999", "overflows int32"},
+      {"posts.tsv", 0, "x", "author 'x' is not a number"},
+      {"posts.tsv", 1, "-2", "time -2 outside"},
+      {"posts.tsv", 2, "1000000", "word id 1000000 outside"},
+      {"followers.tsv", 0, "30", "src 30 outside [0, 30)"},
+      {"retweets.tsv", 0, "30", "author 30 outside [0, 30)"},
+      {"retweets.tsv", 1, "100000", "post 100000 outside"},
+      {"retweets.tsv", 3, "n:1,30", "ignorer 30 outside [0, 30)"},
+      {"retweets.tsv", 2, "1,2", "'1,2' lacks the r: prefix"},
+      {"retweets.tsv", 3, "2", "'2' lacks the n: prefix"},
+      {"retweets.tsv", 4, "n:3", "extra field 'n:3'"},
+      {"links.tsv", 2, "7", "extra field '7'"},
+  };
+  for (const Edit& edit : kEdits) {
+    SCOPED_TRACE(std::string(edit.file) + " field " +
+                 std::to_string(edit.field) + " = " + edit.value);
+    const std::string original = Read(edit.file);
+    Overwrite(edit.file, ReplaceField(original, 2, edit.field, edit.value));
+    auto result = data::LoadDataset(dir_);
+    Overwrite(edit.file, original);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kIOError);
+    const std::string& message = result.status().message();
+    EXPECT_EQ(message.rfind(dir_ + "/" + edit.file + ":2: ", 0), 0u)
+        << message;
+    EXPECT_NE(message.find(edit.reason), std::string::npos) << message;
+  }
+}
+
+// Layouts the loader has always accepted: runs of spaces and tabs, CRLF
+// line ends, blank and whitespace-only lines, empty id lists, and vocab
+// lines kept verbatim.
+TEST_F(CorruptDatasetTest, LenientLayoutsLoadTheSameDataset) {
+  auto want = data::LoadDataset(dir_);
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  for (const char* file :
+       {"posts.tsv", "followers.tsv", "links.tsv", "retweets.tsv"}) {
+    std::string loose = "\n \t\r\n";
+    for (char c : Read(file)) {
+      if (c == '\t') {
+        loose += "  \t ";
+      } else if (c == '\n') {
+        loose += "\r\n";
+      } else {
+        loose += c;
+      }
+    }
+    Overwrite(file, loose + "\n");
+  }
+  auto got = data::LoadDataset(dir_);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  ExpectSameDataset(*want, *got);
+
+  Overwrite("retweets.tsv", "0\t1\tr:\tn:\n1\t2\tr:,\tn:3,,4,\n");
+  Overwrite("vocab.tsv", Read("vocab.tsv") + "two words\r\n");
+  got = data::LoadDataset(dir_);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  ASSERT_EQ(got->retweets.size(), 2u);
+  EXPECT_TRUE(got->retweets[0].retweeters.empty());
+  EXPECT_TRUE(got->retweets[0].ignorers.empty());
+  EXPECT_TRUE(got->retweets[1].retweeters.empty());
+  EXPECT_EQ(got->retweets[1].ignorers, (std::vector<text::UserId>{3, 4}));
+  EXPECT_EQ(got->vocabulary.size(), want->vocabulary.size() + 1);
+  EXPECT_EQ(got->vocabulary.word(want->vocabulary.size()), "two words\r");
+}
+
+/// `text` with one random edit: a bit flip, a truncation, a digit turned
+/// into a letter or '-', a number lengthened past INT32_MAX, or a line
+/// duplicated or dropped. Returns the edit's name.
+const char* Mutate(RandomSampler* rng, std::string* text) {
+  if (text->empty()) return "none (empty file)";
+  auto pick = [&](size_t n) {
+    return static_cast<size_t>(rng->UniformInt(static_cast<uint32_t>(n)));
+  };
+  const size_t at = pick(text->size());
+  const size_t digit = text->find_first_of("0123456789", at);
+  // The line holding `at`, as [line, line_end], its '\n' included.
+  const size_t before = at == 0 ? std::string::npos : text->rfind('\n', at - 1);
+  const size_t line = before == std::string::npos ? 0 : before + 1;
+  const size_t line_end = std::min(text->find('\n', at), text->size() - 1);
+  switch (rng->UniformInt(6)) {
+    case 0:
+      (*text)[at] = static_cast<char>((*text)[at] ^ (1 << rng->UniformInt(8)));
+      return "bit flip";
+    case 1:
+      text->resize(at);
+      return "truncation";
+    case 2:
+      if (digit == std::string::npos) return "none (no digit)";
+      (*text)[digit] = rng->Bernoulli(0.25)
+                           ? '-'
+                           : static_cast<char>('a' + rng->UniformInt(26));
+      return "digit to letter or '-'";
+    case 3:
+      if (digit == std::string::npos) return "none (no digit)";
+      text->insert(digit, "99999999999");
+      return "number past INT32_MAX";
+    case 4:
+      text->insert(line, text->substr(line, line_end + 1 - line));
+      return "line duplicated";
+    default:
+      text->erase(line, line_end + 1 - line);
+      return "line dropped";
+  }
+}
+
+// A fixed-seed mutation run over all five files: every load returns OK or
+// kIOError, never throws or crashes (the asan preset checks the memory
+// side), and an OK load only ever holds in-range ids.
+TEST_F(CorruptDatasetTest, MutatedFilesLoadCleanlyOrFail) {
+  const char* kFiles[] = {"vocab.tsv", "posts.tsv", "followers.tsv",
+                          "links.tsv", "retweets.tsv"};
+  std::vector<std::string> originals;
+  for (const char* file : kFiles) originals.push_back(Read(file));
+  RandomSampler rng(2024);
+  int loaded = 0, rejected = 0;
+  for (int i = 0; i < 3000 && !HasFailure(); ++i) {
+    const size_t f = rng.UniformInt(5);
+    std::string text = originals[f];
+    const char* what = Mutate(&rng, &text);
+    SCOPED_TRACE("mutation " + std::to_string(i) + ": " + what + " in " +
+                 kFiles[f]);
+    Overwrite(kFiles[f], text);
+    try {
+      auto result = data::LoadDataset(dir_);
+      if (result.ok()) {
+        ++loaded;
+        ExpectIdsInRange(*result);
+      } else {
+        ++rejected;
+        EXPECT_EQ(result.status().code(), StatusCode::kIOError)
+            << result.status().ToString();
+      }
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "LoadDataset threw " << e.what();
+    }
+    Overwrite(kFiles[f], originals[f]);
+  }
+  // Both outcomes are common (about 1.4k loads and 1.6k rejections), so a
+  // loader that rejects too much fails here too, not only one that
+  // accepts too much.
+  EXPECT_GT(loaded, 500);
+  EXPECT_GT(rejected, 500);
 }
 
 // ----------------------------------------------------- degenerate inputs --
