@@ -384,7 +384,7 @@ serve::Json RunScale(const Scale& scale) {
       links_per_sec.empty() ? 0.0 : Mean(links_per_sec), sweep_seconds.size(),
       static_cast<long long>(stalled_sweeps));
 
-  // Parallel: wall-clock per superstep on the multi-threaded GAS engine.
+  // Parallel: wall-clock per superstep of the multi-threaded trainer.
   core::ColdConfig parallel_config = config;
   parallel_config.iterations = scale.parallel_supersteps;
   parallel_config.burn_in = std::max(0, scale.parallel_supersteps - 1);

@@ -1,6 +1,6 @@
-// Scenario: training at scale on the GAS engine (§4.3). Shows the Fig-4
-// graph abstraction in action: supersteps and engine statistics across
-// worker counts, next to a serial run for reference.
+// Scenario: training at scale with the parallel trainer (§4.3). Shows the
+// Fig-4 graph abstraction in action: supersteps and engine statistics
+// across worker counts, next to a serial run for reference.
 #include <cstdio>
 
 #include "core/cold.h"
@@ -44,7 +44,7 @@ int main() {
                 watch.ElapsedSeconds(), serial_perplexity);
   }
 
-  // Parallel GAS runs across worker counts (capped at the host's cores).
+  // Parallel runs across worker counts (capped at the host's cores).
   std::printf("\n%-8s %-12s %-12s\n", "workers", "measured(s)",
               "perplexity");
   for (int workers : {1, 4, 8}) {

@@ -564,11 +564,9 @@ cold::Status ParallelColdTrainer::RestoreState(const std::string& payload) {
   }
   static_cast<ColdState&>(*state_) = std::move(restored);
   lambda0_ = lambda0;
+  // Scatter draws are keyed by (supersteps_run_, chunk), so the resumed
+  // run replays the RNG streams an uninterrupted one would have used.
   supersteps_run_ = supersteps_run;
-  // Scatter draws are keyed by (superstep, chunk); realign the engine's
-  // superstep counter so the resumed run replays the same RNG streams as an
-  // uninterrupted one.
-  EngineSetSuperstepIndex(supersteps_run_);
   return cold::Status::OK();
 }
 

@@ -1,7 +1,9 @@
 #include "core/parallel_sampler.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <thread>
 
 #include "core/gibbs_sampler.h"
 #include "core/sparse_topic_kernel.h"
@@ -16,15 +18,28 @@
 
 namespace cold::core {
 
-namespace {
-constexpr size_t kMaxWorkers = 256;
+/// \brief Edge payload: a user-time edge owns the posts of (user, t); a
+/// user-user edge owns one interaction link.
+struct ColdEdge {
+  enum class Type : uint8_t { kUserTime, kUserUser };
+  Type type = Type::kUserTime;
+  std::vector<text::PostId> posts;  // kUserTime
+  graph::EdgeId link = -1;          // kUserUser
+};
 
-/// Per-superstep throughput telemetry for the parallel trainer, mirroring
-/// the serial sampler's cold/gibbs/* gauges. stale_clamp_total counts every
-/// negative-count clamp in the sampling kernels. The kernels read frozen
-/// counts whose own-contribution exclusion is exact, so it must read zero;
-/// anything else means the frozen-count contract was broken.
+namespace {
+
+/// Registry handles for the trainer's telemetry, cached once. The
+/// cold/engine/* entries receive the same deltas as EngineStats; the
+/// cold/parallel/* ones mirror the serial sampler's cold/gibbs/* gauges.
+/// stale_clamp_total counts every negative-count clamp in the sampling
+/// kernels. The kernels read frozen counts whose own-contribution exclusion
+/// is exact, so it must read zero; anything else means the frozen-count
+/// contract was broken.
 struct ParallelMetrics {
+  obs::Gauge* scatter_seconds;
+  obs::Gauge* merge_seconds;
+  obs::Counter* engine_supersteps;
   obs::Counter* supersteps;
   obs::Gauge* superstep_seconds;
   obs::Gauge* tokens_per_second;
@@ -34,6 +49,9 @@ struct ParallelMetrics {
 ParallelMetrics& Metrics() {
   auto& registry = obs::Registry::Global();
   static ParallelMetrics metrics{
+      registry.GetGauge("cold/engine/scatter_seconds"),
+      registry.GetGauge("cold/engine/merge_seconds"),
+      registry.GetCounter("cold/engine/supersteps"),
       registry.GetCounter("cold/parallel/supersteps"),
       registry.GetGauge("cold/parallel/superstep_seconds"),
       registry.GetGauge("cold/parallel/tokens_per_second"),
@@ -41,24 +59,44 @@ ParallelMetrics& Metrics() {
   return metrics;
 }
 
+/// Pool size: threads_per_node, capped at the host's hardware concurrency
+/// unless `oversubscribe` is set.
+size_t PoolThreads(const engine::EngineOptions& options) {
+  const size_t want =
+      static_cast<size_t>(std::max(1, options.threads_per_node));
+  if (options.oversubscribe) return want;
+  const size_t hw =
+      std::max<size_t>(1, std::thread::hardware_concurrency());
+  return std::min(want, hw);
+}
+
+/// Work units: tokens plus per-post sampling cost for post edges; the
+/// link-table cost for link edges (the vertex weights of
+/// ComputeChunkOwners' greedy placement).
+int64_t EdgeWorkUnits(const ColdEdge& edge, const text::PostStore& posts,
+                      int64_t C, int64_t K) {
+  if (edge.type == ColdEdge::Type::kUserTime) {
+    int64_t units = 0;
+    for (text::PostId d : edge.posts) units += posts.length(d) + C + K;
+    return units;
+  }
+  return 2 * C;
+}
+
 }  // namespace
 
-/// Vertex program implementing Alg 2. See file header of
-/// parallel_sampler.h for the counter-placement discussion.
-class ColdVertexProgram {
+/// \brief The scatter half of Alg 2: the derived caches of the frozen
+/// counts, and the per-edge draws that record their count updates in the
+/// drawing worker's delta buffer. See parallel_sampler.h's file header.
+class ScatterKernel {
  public:
-  using Graph = engine::PropertyGraph<ColdVertex, ColdEdge>;
-  using GatherType = std::vector<int32_t>;
-  static constexpr engine::GatherEdges kGatherEdges = engine::GatherEdges::kAll;
-
-  ColdVertexProgram(const ColdConfig& config, const text::PostStore& posts,
-                    const graph::Digraph* links, ParallelColdState* state,
-                    const Graph* graph, bool use_network, double lambda0)
+  ScatterKernel(const ColdConfig& config, const text::PostStore& posts,
+                const graph::Digraph* links, ParallelColdState* state,
+                bool use_network, double lambda0, size_t num_workers)
       : config_(config),
         posts_(posts),
         links_(links),
         state_(state),
-        graph_(graph),
         use_network_(use_network),
         lambda0_(lambda0),
         // Derived prior constants hoisted once — the scatter kernels run per
@@ -68,11 +106,15 @@ class ColdVertexProgram {
         kalpha_(config.num_topics * config.ResolvedAlpha()),
         teps_(posts.num_time_slices() * config.epsilon),
         vbeta_(state->V() * config.beta),
-        scratch_(kMaxWorkers) {
+        scratch_(num_workers) {
     const size_t C = static_cast<size_t>(config.num_communities);
     const size_t K = static_cast<size_t>(config.num_topics);
     const size_t T = static_cast<size_t>(posts.num_time_slices());
     const size_t V = static_cast<size_t>(state->V());
+    for (Scratch& s : scratch_) {
+      s.weights_c.resize(C);
+      s.log_weights_k.resize(K);
+    }
     comm_factor_.resize(K * C);
     topic_ck_.resize(C * K);
     log_nckt_eps_.resize(C * T * K);
@@ -87,7 +129,7 @@ class ColdVertexProgram {
       w_link_in_.resize(C * C);
     }
     // Sparse topic path: alias rows live only within a superstep (rebuilt
-    // eagerly from the frozen counters in PreScatter, so their content is
+    // eagerly from the frozen counters each superstep, so their content is
     // independent of worker count), and the integer-indexed lgamma table
     // serves the single-topic MH evaluations.
     sparse_ = config.UseSparseTopicSampling();
@@ -98,170 +140,38 @@ class ColdVertexProgram {
     }
   }
 
-  GatherType GatherInit() const { return {}; }
-
-  // Gather: lines 1-10 of Alg 2 — community counts for user vertices,
-  // community-topic counts for time vertices.
-  void Gather(const Graph& g, engine::VertexId v, engine::EdgeId e,
-              GatherType* acc) const {
-    const ColdVertex& vd = g.vertex_data(v);
-    const ColdEdge& ed = g.edge_data(e);
-    const int C = config_.num_communities;
-    if (vd.is_user) {
-      if (acc->empty()) acc->assign(static_cast<size_t>(C), 0);
-      if (ed.type == ColdEdge::Type::kUserTime) {
-        // Only the user-side endpoint gathers posts.
-        if (g.src(e) == v) {
-          for (text::PostId d : ed.posts) {
-            (*acc)[static_cast<size_t>(
-                state_->post_community[static_cast<size_t>(d)])]++;
-          }
-        }
-      } else {
-        // A user-user edge contributes s to its src and s' to its dst.
-        if (g.src(e) == v) {
-          (*acc)[static_cast<size_t>(
-              state_->link_src_community[static_cast<size_t>(ed.link)])]++;
-        } else {
-          (*acc)[static_cast<size_t>(
-              state_->link_dst_community[static_cast<size_t>(ed.link)])]++;
-        }
+  /// Draws new assignments for every indicator `edge` carries (lines 19-26
+  /// of Alg 2) from `sampler`, recording the count updates in `worker`'s
+  /// delta buffer.
+  void ScatterEdge(const ColdEdge& edge, size_t worker,
+                   cold::RandomSampler* sampler) {
+    Scratch* scratch = &scratch_[worker];
+    int32_t* delta = state_->delta(worker);
+    if (edge.type == ColdEdge::Type::kUserTime) {
+      for (text::PostId d : edge.posts) {
+        SamplePostDelta(d, delta, scratch, sampler);
       }
     } else {
-      // Time vertex: count (c, k) pairs of incident posts.
-      const int K = config_.num_topics;
-      if (acc->empty()) acc->assign(static_cast<size_t>(C) * K, 0);
-      if (ed.type == ColdEdge::Type::kUserTime) {
-        for (text::PostId d : ed.posts) {
-          int c = state_->post_community[static_cast<size_t>(d)];
-          int k = state_->post_topic[static_cast<size_t>(d)];
-          (*acc)[static_cast<size_t>(c) * K + k]++;
-        }
-      }
+      SampleLinkDelta(edge.link, delta, scratch, sampler);
     }
   }
 
-  // Apply: lines 12-17 of Alg 2 — write the rebuilt vertex-owned counters.
-  void Apply(Graph* g, engine::VertexId v, const GatherType& acc) {
-    const ColdVertex& vd = g->vertex_data(v);
-    const int C = config_.num_communities;
-    if (vd.is_user) {
-      for (int c = 0; c < C; ++c) {
-        int32_t value = acc.empty() ? 0 : acc[static_cast<size_t>(c)];
-        state_->n_ic(vd.index, c) = value;
-      }
-    } else {
-      const int K = config_.num_topics;
-      for (int c = 0; c < C; ++c) {
-        for (int k = 0; k < K; ++k) {
-          int32_t value =
-              acc.empty() ? 0 : acc[static_cast<size_t>(c) * K + k];
-          state_->n_ckt(c, k, vd.index) = value;
-        }
-      }
-    }
-  }
-
-  // Scatter: lines 19-26 of Alg 2 — draw new assignments.
-  void Scatter(Graph* g, engine::EdgeId e, engine::WorkerContext* ctx) {
-    ColdEdge& ed = g->edge_data(e);
-    Scratch& scratch = GetScratch(ctx->worker_index);
-    int32_t* delta = state_->delta(ctx->worker_index);
-    if (ed.type == ColdEdge::Type::kUserTime) {
-      for (text::PostId d : ed.posts) {
-        SamplePostDelta(d, delta, &scratch, ctx->sampler);
-      }
-    } else if (use_network_) {
-      SampleLinkDelta(ed.link, delta, &scratch, ctx->sampler);
-    }
-  }
-
-  /// Scatter setup, run after apply under the superstep barrier: the
-  /// canonical counters are final for this superstep, so rebuild the
-  /// derived log/lgamma caches from them and make sure every pool worker
-  /// has a delta buffer.
-  void PreScatter(cold::ThreadPool* pool) {
-    state_->EnsureDeltaBuffers(pool->num_threads());
-    RebuildDerivedCaches(pool);
-  }
-
-  /// Superstep-boundary reduction: folds every worker's delta buffer into
-  /// the canonical tables (striped across the pool; each cell is summed
-  /// over workers in fixed order, so the merged counts are deterministic)
-  /// and flushes the per-worker clamp tallies to the registry counter.
-  void PostScatter(cold::ThreadPool* pool) {
+  /// Sums and zeroes the workers' negative-count clamp tallies. Call
+  /// between phases.
+  int64_t TakeClamps() {
     int64_t clamps = 0;
     for (Scratch& s : scratch_) {
       clamps += s.clamps;
       s.clamps = 0;
     }
-    if (clamps > 0) Metrics().stale_clamps->Increment(clamps);
-    if (defer_merge_) return;
-    COLD_TRACE_SPAN("parallel/merge");
-    const size_t n = state_->delta_size();
-    pool->ParallelFor(n, [this](size_t begin, size_t end, size_t) {
-      state_->MergeDeltaRange(begin, end);
-    });
-  }
-
-  void PostSuperstep(Graph*, int) {}
-
-  /// \brief Distributed mode: leave scattered deltas in the per-worker
-  /// buffers at the superstep boundary instead of merging them, so the
-  /// trainer can drain them into the node's exchange payload
-  /// (RunSuperstepSharded).
-  void set_defer_delta_merge(bool defer) { defer_merge_ = defer; }
-
-  /// Work units: tokens plus per-post sampling cost for post edges; the
-  /// link-table cost for link edges (the vertex weights of
-  /// ComputeChunkOwners' greedy placement).
-  int64_t EdgeWorkUnits(engine::EdgeId e) const {
-    const ColdEdge& ed = graph_->edge_data(e);
-    const int64_t C = config_.num_communities;
-    const int64_t K = config_.num_topics;
-    if (ed.type == ColdEdge::Type::kUserTime) {
-      int64_t units = 0;
-      for (text::PostId d : ed.posts) {
-        units += posts_.length(d) + C + K;
-      }
-      return units;
-    }
-    return 2 * C;
-  }
-
- private:
-  struct Scratch {
-    std::vector<double> weights_c;
-    std::vector<double> log_weights_k;
-    /// Negative-count clamps observed by this worker since the last flush
-    /// (PostScatter). Kept worker-local so the hot path never touches a
-    /// shared counter.
-    int64_t clamps = 0;
-  };
-
-  Scratch& GetScratch(size_t worker) {
-    Scratch& s = scratch_[worker];
-    if (s.weights_c.empty()) {
-      s.weights_c.resize(static_cast<size_t>(config_.num_communities));
-      s.log_weights_k.resize(static_cast<size_t>(config_.num_topics));
-    }
-    return s;
-  }
-
-  /// Floors a count at zero, tallying the clamp (stale-count observability;
-  /// see cold/parallel/stale_clamp_total).
-  static double ClampNonNeg(double v, Scratch* scratch) {
-    if (v < 0.0) {
-      scratch->clamps++;
-      return 0.0;
-    }
-    return v;
+    return clamps;
   }
 
   /// \brief Rebuilds the derived-value caches from the canonical counters
   /// (the parallel analogue of the serial sampler's RebuildDerivedTables).
   /// Runs under the superstep barrier while the counters are stable; only
-  /// the K*V word-log table is big enough to parallelize.
+  /// the K*V word-log table and the alias rows are big enough to
+  /// parallelize.
   void RebuildDerivedCaches(cold::ThreadPool* pool) {
     COLD_TRACE_SPAN("parallel/cache_rebuild");
     const int C = config_.num_communities;
@@ -347,6 +257,26 @@ class ColdVertexProgram {
             }
           });
     }
+  }
+
+ private:
+  struct Scratch {
+    std::vector<double> weights_c;
+    std::vector<double> log_weights_k;
+    /// Negative-count clamps observed by this worker since the last
+    /// TakeClamps(). Kept worker-local so the hot path never touches a
+    /// shared counter.
+    int64_t clamps = 0;
+  };
+
+  /// Floors a count at zero, tallying the clamp (stale-count observability;
+  /// see cold/parallel/stale_clamp_total).
+  static double ClampNonNeg(double v, Scratch* scratch) {
+    if (v < 0.0) {
+      scratch->clamps++;
+      return 0.0;
+    }
+    return v;
   }
 
   // Eqs. (1)+(3). The canonical counters are frozen at their
@@ -567,9 +497,7 @@ class ColdVertexProgram {
   const text::PostStore& posts_;
   const graph::Digraph* links_;
   ParallelColdState* state_;
-  const Graph* graph_;
   bool use_network_;
-  bool defer_merge_ = false;  // distributed mode: skip the boundary merge
   double lambda0_;
   double rho_;     // resolved membership prior
   double alpha_;   // resolved topic prior
@@ -608,7 +536,8 @@ ParallelColdTrainer::ParallelColdTrainer(ColdConfig config,
       links_(links),
       use_network_(config.use_network && links != nullptr &&
                    links->num_edges() > 0),
-      engine_options_(engine_options) {}
+      engine_options_(engine_options),
+      pool_(PoolThreads(engine_options)) {}
 
 ParallelColdTrainer::~ParallelColdTrainer() = default;
 
@@ -644,15 +573,11 @@ cold::Status ParallelColdTrainer::Init() {
   }
   state_ = std::make_unique<ParallelColdState>(U, C, K, T, vocab,
                                                posts_.num_posts(), num_links);
+  state_->EnsureDeltaBuffers(pool_.num_threads());
 
-  // Build the bipartite user-time graph plus user-user edges (Fig 4).
-  graph_ = std::make_unique<Graph>();
-  for (int i = 0; i < U; ++i) {
-    graph_->AddVertex(ColdVertex{true, i});
-  }
-  for (int t = 0; t < T; ++t) {
-    graph_->AddVertex(ColdVertex{false, t});
-  }
+  // Build the bipartite user-time graph plus user-user edges (Fig 4): user
+  // vertices come first (id = user), then time vertices (id = U + slice).
+  graph_ = std::make_unique<Graph>(U + T);
   // Group each user's posts by time slice.
   for (int i = 0; i < U; ++i) {
     // Time slices are few; a local map via sort keeps this allocation-light.
@@ -720,12 +645,10 @@ cold::Status ParallelColdTrainer::Init() {
     }
   }
 
-  program_ = std::make_unique<ColdVertexProgram>(
-      config_, posts_, links_, state_.get(), graph_.get(), use_network_,
-      lambda0_);
-  engine_ = std::make_unique<
-      engine::GasEngine<ColdVertex, ColdEdge, ColdVertexProgram>>(
-      graph_.get(), program_.get(), engine_options_);
+  kernel_ = std::make_unique<ScatterKernel>(config_, posts_, links_,
+                                            state_.get(), use_network_,
+                                            lambda0_, pool_.num_threads());
+  stats_ = engine::EngineStats{};
   supersteps_run_ = 0;
   initialized_ = true;
   return cold::Status::OK();
@@ -746,9 +669,8 @@ cold::Status ParallelColdTrainer::Train() {
     double superstep_seconds = 0.0;
     {
       cold::ScopedTimer timer(superstep_seconds);
-      engine_->Run(1);
+      RunSuperstep();
     }
-    supersteps_run_++;
     ParallelMetrics& metrics = Metrics();
     metrics.supersteps->Increment();
     metrics.superstep_seconds->Set(superstep_seconds);
@@ -765,12 +687,82 @@ cold::Status ParallelColdTrainer::Train() {
 }
 
 void ParallelColdTrainer::RunSuperstep() {
-  engine_->RunSuperstep();
+  Superstep(nullptr);
   supersteps_run_++;
 }
 
+void ParallelColdTrainer::Superstep(const std::vector<uint8_t>* chunk_mask) {
+  COLD_TRACE_SPAN("engine/superstep");
+  double scatter_s = 0.0;
+  double merge_s = 0.0;
+  {
+    COLD_TRACE_SPAN("engine/scatter");
+    cold::ScopedTimer timer(scatter_s);
+    kernel_->RebuildDerivedCaches(&pool_);
+
+    // Chunk boundaries depend only on the edge count and each chunk owns
+    // its RNG stream, so the draws are identical no matter which worker
+    // runs a chunk: repeat runs and different worker counts produce
+    // bit-identical state (the delta sums commute).
+    const Graph& graph = *graph_;
+    ScatterKernel& kernel = *kernel_;
+    const int64_t num_edges = graph.num_edges();
+    const int64_t num_chunks = NumScatterChunks();
+    const uint64_t seed = engine_options_.seed;
+    const uint64_t stream_base =
+        engine::kChunkStreamBase + static_cast<uint64_t>(supersteps_run_) *
+                                       static_cast<uint64_t>(num_chunks);
+    std::atomic<int64_t> cursor{0};
+    // One long-running task per worker, each pulling chunks dynamically.
+    pool_.ParallelFor(pool_.num_threads(), [&](size_t, size_t,
+                                                size_t worker) {
+      // One span per worker per superstep: the trace timeline shows each
+      // pool thread's share of the scatter phase.
+      COLD_TRACE_SPAN("engine/scatter_worker");
+      while (true) {
+        const int64_t chunk = cursor.fetch_add(1, std::memory_order_relaxed);
+        if (chunk >= num_chunks) break;
+        if (chunk_mask != nullptr &&
+            (*chunk_mask)[static_cast<size_t>(chunk)] == 0) {
+          continue;
+        }
+        cold::RandomSampler sampler(
+            seed, stream_base + static_cast<uint64_t>(chunk));
+        const int64_t stop =
+            std::min(num_edges, (chunk + 1) * engine::kScatterChunkEdges);
+        for (int64_t e = chunk * engine::kScatterChunkEdges; e < stop; ++e) {
+          kernel.ScatterEdge(graph.edge_data(e), worker, &sampler);
+        }
+      }
+    });
+
+    const int64_t clamps = kernel.TakeClamps();
+    if (clamps > 0) Metrics().stale_clamps->Increment(clamps);
+    if (chunk_mask == nullptr) {
+      // Fold every worker's buffer into the canonical tables, striped
+      // across the pool; each cell sums the workers in fixed order, so the
+      // merged counts are deterministic.
+      cold::ScopedTimer merge_timer(merge_s);
+      COLD_TRACE_SPAN("parallel/merge");
+      pool_.ParallelFor(state_->delta_size(),
+                        [this](size_t begin, size_t end, size_t) {
+                          state_->MergeDeltaRange(begin, end);
+                        });
+    }
+  }
+  ParallelMetrics& metrics = Metrics();
+  stats_.scatter_seconds += scatter_s;
+  stats_.merge_seconds += merge_s;
+  metrics.scatter_seconds->Add(scatter_s);
+  metrics.merge_seconds->Add(merge_s);
+  stats_.supersteps++;
+  metrics.engine_supersteps->Increment();
+}
+
 int64_t ParallelColdTrainer::NumScatterChunks() const {
-  return engine_ != nullptr ? engine_->num_scatter_chunks() : 0;
+  if (graph_ == nullptr) return 0;
+  return (graph_->num_edges() + engine::kScatterChunkEdges - 1) /
+         engine::kScatterChunkEdges;
 }
 
 size_t ParallelColdTrainer::DeltaTableSize() const {
@@ -779,14 +771,17 @@ size_t ParallelColdTrainer::DeltaTableSize() const {
 
 std::vector<int32_t> ParallelColdTrainer::ComputeChunkOwners(
     int num_nodes) const {
+  auto work_of = [this](engine::EdgeId e) {
+    return EdgeWorkUnits(graph_->edge_data(e), posts_,
+                         config_.num_communities, config_.num_topics);
+  };
   // Each edge's work units are charged to its source vertex (edges run on
   // their source's node).
   std::vector<int64_t> vertex_work(
       static_cast<size_t>(graph_->num_vertices()), 0);
   const int64_t num_edges = graph_->num_edges();
   for (engine::EdgeId e = 0; e < num_edges; ++e) {
-    vertex_work[static_cast<size_t>(graph_->src(e))] +=
-        program_->EdgeWorkUnits(e);
+    vertex_work[static_cast<size_t>(graph_->src(e))] += work_of(e);
   }
   std::vector<int> vertex_node =
       engine::GreedyAssignment(*graph_, num_nodes, vertex_work);
@@ -804,7 +799,7 @@ std::vector<int32_t> ParallelColdTrainer::ComputeChunkOwners(
     for (int64_t e = chunk * engine::kScatterChunkEdges; e < stop; ++e) {
       const int node = vertex_node[static_cast<size_t>(graph_->src(e))];
       // +1 so zero-work edges still vote for their node.
-      node_work[static_cast<size_t>(node)] += program_->EdgeWorkUnits(e) + 1;
+      node_work[static_cast<size_t>(node)] += work_of(e) + 1;
     }
     int best = 0;
     for (int n = 1; n < num_nodes; ++n) {
@@ -827,18 +822,14 @@ cold::Status ParallelColdTrainer::RunSuperstepSharded(
   if (static_cast<int64_t>(chunk_mask.size()) != NumScatterChunks()) {
     return cold::Status::InvalidArgument(
         "chunk mask covers " + std::to_string(chunk_mask.size()) +
-        " chunks, engine has " + std::to_string(NumScatterChunks()));
+        " chunks, the graph has " + std::to_string(NumScatterChunks()));
   }
   prev_post_community_ = state_->post_community;
   prev_post_topic_ = state_->post_topic;
   prev_link_src_community_ = state_->link_src_community;
   prev_link_dst_community_ = state_->link_dst_community;
 
-  program_->set_defer_delta_merge(true);
-  engine_->set_scatter_chunk_mask(&chunk_mask);
-  engine_->RunSuperstep();
-  engine_->set_scatter_chunk_mask(nullptr);
-  program_->set_defer_delta_merge(false);
+  Superstep(&chunk_mask);
 
   state_->DrainDeltas(&out->count_deltas);
   out->post_updates.clear();
@@ -892,19 +883,10 @@ cold::Status ParallelColdTrainer::ApplyGlobalUpdate(
   return cold::Status::OK();
 }
 
-void ParallelColdTrainer::EngineSetSuperstepIndex(int64_t index) {
-  engine_->set_superstep_index(index);
-}
-
 ColdEstimates ParallelColdTrainer::Estimates() const {
   return ExtractEstimates(*state_, config_, lambda0_);
 }
 
 ColdState ParallelColdTrainer::StateSnapshot() const { return *state_; }
-
-const engine::EngineStats& ParallelColdTrainer::engine_stats() const {
-  static const engine::EngineStats kEmpty;
-  return engine_ != nullptr ? engine_->stats() : kEmpty;
-}
 
 }  // namespace cold::core

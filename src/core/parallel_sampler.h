@@ -1,21 +1,19 @@
-// Parallel COLD inference on the GAS engine (§4.3, Fig 4, Alg 2).
+// Parallel COLD inference (§4.3, Fig 4, Alg 2).
 //
 // Graph abstraction (exactly the paper's): a bipartite graph connecting each
 // user with each time slice — the edge (i, t) carries the posts user i wrote
 // at time t together with their community/topic indicators — plus user-user
 // edges carrying the link community indicators (s, s').
 //
-// Counter placement follows Alg 2: per-user membership counts n_ic and
-// per-time counts n_ckt are vertex-owned and rebuilt in the gather/apply
-// phases each superstep; the low-dimensional global counters (n_ck, n_kv,
-// n_k, n_cc) are shared aggregates synchronized at superstep boundaries.
-//
-// Scatter draws new assignments with Eqs. (1)-(3). The canonical counters
-// stay frozen for the whole phase: each worker reads them contention-free,
-// records its +/- updates in a private delta buffer, and the buffers are
-// merged at the superstep boundary — deterministic for a fixed seed
-// regardless of worker count. Derived log/lgamma caches are rebuilt once per
-// superstep from the stable counts (DESIGN.md §10).
+// A superstep is Alg 2's scatter: it draws new assignments with Eqs. (1)-(3)
+// over those edges. Every count table stays frozen for the whole phase: each
+// worker reads them contention-free, records its +/- updates in a private
+// delta buffer, and the buffers are merged at the superstep boundary —
+// deterministic for a fixed seed regardless of worker count. The merge keeps
+// every table exact, the vertex-owned n_ic and n_ckt included, so it also
+// does the job of Alg 2's gather/apply (which rebuilds those two from the
+// assignments on GraphLab). Derived log/lgamma caches are rebuilt once per
+// superstep from the frozen counts (DESIGN.md §10).
 #pragma once
 
 #include <array>
@@ -28,28 +26,14 @@
 #include "core/cold_config.h"
 #include "core/cold_estimates.h"
 #include "core/parallel_state.h"
-#include "engine/gas_engine.h"
+#include "engine/property_graph.h"
+#include "engine/superstep.h"
 #include "graph/digraph.h"
 #include "text/post_store.h"
 #include "util/status.h"
+#include "util/thread_pool.h"
 
 namespace cold::core {
-
-/// \brief Vertex payload: user vertices come first (id = user), then time
-/// vertices (id = slice).
-struct ColdVertex {
-  bool is_user = true;
-  int32_t index = 0;
-};
-
-/// \brief Edge payload: a user-time edge owns the posts of (user, t); a
-/// user-user edge owns one interaction link.
-struct ColdEdge {
-  enum class Type : uint8_t { kUserTime, kUserUser };
-  Type type = Type::kUserTime;
-  std::vector<text::PostId> posts;  // kUserTime
-  graph::EdgeId link = -1;          // kUserUser
-};
 
 /// \brief One node's contribution to a distributed superstep: the sparse
 /// count deltas its owned scatter chunks produced (flat delta-table indices,
@@ -63,11 +47,13 @@ struct SuperstepUpdate {
   std::vector<std::array<int32_t, 3>> link_updates;  // {link, s, s2}
 };
 
-class ColdVertexProgram;  // defined in parallel_sampler.cc
+struct ColdEdge;       // defined in parallel_sampler.cc
+class ScatterKernel;   // defined in parallel_sampler.cc
 
 /// \brief Parallel trainer: builds the Fig-4 graph, runs `iterations`
-/// supersteps, and exposes estimates plus engine statistics for the
-/// scalability experiments (Figs 13-14).
+/// supersteps on a pool of `threads_per_node` workers it owns, and exposes
+/// estimates plus superstep statistics for the scalability experiments
+/// (Figs 13-14).
 class ParallelColdTrainer {
  public:
   ParallelColdTrainer(ColdConfig config, const text::PostStore& posts,
@@ -109,11 +95,10 @@ class ParallelColdTrainer {
 
   // --- distributed execution hooks (src/dist) -----------------------------
   //
-  // A distributed node replicates the full model state, runs the gather and
-  // apply phases in full (exact recompute from replicated assignments), and
-  // scatters only the chunks it owns. RunSuperstepSharded defers the delta
-  // merge and exports the node's sparse update; after the coordinator merges
-  // all nodes' updates in rank order, ApplyGlobalUpdate installs the merged
+  // A distributed node replicates the full model state and scatters only
+  // the chunks it owns. RunSuperstepSharded skips the delta merge and
+  // exports the node's sparse update; after the coordinator merges all
+  // nodes' updates in rank order, ApplyGlobalUpdate installs the merged
   // result on every node, keeping the replicas in lockstep. Chunk RNG
   // streams are keyed by (superstep, chunk), so a node scattering exactly
   // its owned chunks draws bit-identically to the single-process run.
@@ -148,30 +133,34 @@ class ParallelColdTrainer {
   /// \brief Snapshot of the shared state as a plain ColdState.
   ColdState StateSnapshot() const;
 
-  const engine::EngineStats& engine_stats() const;
+  const engine::EngineStats& engine_stats() const { return stats_; }
 
   double lambda0() const { return lambda0_; }
 
  private:
-  using Graph = engine::PropertyGraph<ColdVertex, ColdEdge>;
+  using Graph = engine::PropertyGraph<ColdEdge>;
 
-  // Engine access for checkpoint.cc (which cannot instantiate the engine
-  // template against the incomplete ColdVertexProgram); defined in
-  // parallel_sampler.cc.
-  void EngineSetSuperstepIndex(int64_t index);
+  /// \brief The superstep, on counts frozen for its duration: rebuild the
+  /// derived caches, scatter every chunk (only the chunks with a nonzero
+  /// `chunk_mask` byte, when one is given), then merge the per-worker
+  /// deltas into the canonical tables. Under a mask the deltas stay in the
+  /// buffers for RunSuperstepSharded to drain. Chunk c draws from RNG
+  /// stream kChunkStreamBase + supersteps_run_ * chunks + c. Does not
+  /// advance supersteps_run_.
+  void Superstep(const std::vector<uint8_t>* chunk_mask);
 
   ColdConfig config_;
   const text::PostStore& posts_;
   const graph::Digraph* links_;
   bool use_network_;
   double lambda0_ = 0.1;
+  engine::EngineOptions engine_options_;
+  cold::ThreadPool pool_;
+  engine::EngineStats stats_;
 
   std::unique_ptr<ParallelColdState> state_;
   std::unique_ptr<Graph> graph_;
-  std::unique_ptr<ColdVertexProgram> program_;
-  std::unique_ptr<engine::GasEngine<ColdVertex, ColdEdge, ColdVertexProgram>>
-      engine_;
-  engine::EngineOptions engine_options_;
+  std::unique_ptr<ScatterKernel> kernel_;
   int supersteps_run_ = 0;
   bool initialized_ = false;
   std::function<void(int)> superstep_callback_;

@@ -4,16 +4,16 @@
 //
 // Scatter reads the canonical counts, which are FROZEN for the whole phase,
 // and accumulates its +/-1 updates into its worker's private delta buffer;
-// the engine merges all buffers into the canonical tables at the superstep
+// the trainer merges all buffers into the canonical tables at the superstep
 // boundary (MergeDeltaRange, striped across the pool). Counter sums are
 // integer and per-cell, so the merged result is independent of worker count
 // and chunk scheduling — the basis of the trainer's multi-worker determinism
 // guarantee (DESIGN.md §10).
 //
 // Nothing here is atomic because no cell is ever written by two threads at
-// once: apply writes cells owned by one vertex, scatter writes only its own
-// edge's assignments and its worker's buffer, each merge task owns a
-// disjoint range of cells, and the thread pool joins between phases.
+// once: scatter writes only its own edge's assignments and its worker's
+// buffer, each merge task owns a disjoint range of cells, and the thread
+// pool joins between phases.
 #pragma once
 
 #include <cstddef>
@@ -26,8 +26,8 @@
 
 namespace cold::core {
 
-/// \brief Canonical sampler state shared by the GAS sampler's workers, plus
-/// their per-worker delta tables.
+/// \brief Canonical sampler state shared by the parallel trainer's workers,
+/// plus their per-worker delta tables.
 class ParallelColdState : public ColdState {
  public:
   ParallelColdState(int num_users, int num_communities, int num_topics,

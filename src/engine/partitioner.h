@@ -27,8 +27,8 @@ namespace cold::engine {
 /// vertices spread instead of piling onto one node. Compared with modulo
 /// placement, this cuts far fewer edges on community-clustered graphs
 /// (follower networks).
-template <typename VData, typename EData>
-std::vector<int> GreedyAssignment(const PropertyGraph<VData, EData>& g,
+template <typename EData>
+std::vector<int> GreedyAssignment(const PropertyGraph<EData>& g,
                                   int num_nodes,
                                   const std::vector<int64_t>& vertex_work) {
   const int32_t n = g.num_vertices();

@@ -1,11 +1,12 @@
-// Typed property graph for the GAS engine: vertices and edges carry
-// user-defined data blobs, mirroring distributed GraphLab's graph storage
-// (Low et al., PVLDB 2012).
+// Typed property graph: the parallel trainer's Fig-4 graph storage. Edges
+// carry user-defined data blobs, mirroring distributed GraphLab's graph
+// storage (Low et al., PVLDB 2012); vertices are bare ids.
 #pragma once
 
 #include <cassert>
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 namespace cold::engine {
@@ -13,24 +14,18 @@ namespace cold::engine {
 using VertexId = int32_t;
 using EdgeId = int64_t;
 
-/// \brief Directed multigraph whose vertices and edges each own a VData /
-/// EData payload.
+/// \brief Directed multigraph over vertices [0, num_vertices) whose edges
+/// each own an EData payload.
 ///
-/// Mutation (AddVertex/AddEdge) must finish before Finalize(); afterwards the
-/// structure is immutable but payloads stay mutable — exactly what a Gibbs
-/// sweep needs (fixed topology, evolving latent state).
-template <typename VData, typename EData>
+/// AddEdge must finish before Finalize(); afterwards the structure is
+/// immutable but payloads stay mutable — exactly what a Gibbs sweep needs
+/// (fixed topology, evolving latent state).
+template <typename EData>
 class PropertyGraph {
  public:
-  /// Adds a vertex with payload `data`; returns its id.
-  VertexId AddVertex(VData data) {
-    assert(!finalized_);
-    vertex_data_.push_back(std::move(data));
-    return static_cast<VertexId>(vertex_data_.size() - 1);
-  }
+  explicit PropertyGraph(int32_t num_vertices) : num_vertices_(num_vertices) {}
 
   /// Adds a directed edge src->dst with payload `data`; returns its id.
-  /// Both endpoints must already exist.
   EdgeId AddEdge(VertexId src, VertexId dst, EData data) {
     assert(!finalized_);
     assert(src >= 0 && src < num_vertices());
@@ -44,7 +39,7 @@ class PropertyGraph {
   /// \brief Freezes topology and builds incidence indexes.
   void Finalize() {
     assert(!finalized_);
-    size_t n = vertex_data_.size();
+    size_t n = static_cast<size_t>(num_vertices_);
     out_offsets_.assign(n + 1, 0);
     in_offsets_.assign(n + 1, 0);
     for (size_t e = 0; e < src_.size(); ++e) {
@@ -68,19 +63,12 @@ class PropertyGraph {
     finalized_ = true;
   }
 
-  bool finalized() const { return finalized_; }
-  int32_t num_vertices() const {
-    return static_cast<int32_t>(vertex_data_.size());
-  }
+  int32_t num_vertices() const { return num_vertices_; }
   int64_t num_edges() const { return static_cast<int64_t>(src_.size()); }
 
   VertexId src(EdgeId e) const { return src_[static_cast<size_t>(e)]; }
   VertexId dst(EdgeId e) const { return dst_[static_cast<size_t>(e)]; }
 
-  VData& vertex_data(VertexId v) { return vertex_data_[static_cast<size_t>(v)]; }
-  const VData& vertex_data(VertexId v) const {
-    return vertex_data_[static_cast<size_t>(v)];
-  }
   EData& edge_data(EdgeId e) { return edge_data_[static_cast<size_t>(e)]; }
   const EData& edge_data(EdgeId e) const {
     return edge_data_[static_cast<size_t>(e)];
@@ -103,7 +91,7 @@ class PropertyGraph {
   }
 
  private:
-  std::vector<VData> vertex_data_;
+  int32_t num_vertices_;
   std::vector<EData> edge_data_;
   std::vector<VertexId> src_;
   std::vector<VertexId> dst_;

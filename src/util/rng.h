@@ -2,9 +2,9 @@
 // distributions used throughout the COLD inference code.
 //
 // We implement PCG32 (O'Neill 2014) rather than relying on std::mt19937 so
-// that streams are cheap to split per-edge/per-thread (the GAS engine gives
-// every scatter task its own statistically independent stream) and results
-// are reproducible across standard libraries.
+// that streams are cheap to split per-edge/per-thread (the parallel trainer
+// gives every scatter chunk its own statistically independent stream) and
+// results are reproducible across standard libraries.
 #pragma once
 
 #include <cstdint>

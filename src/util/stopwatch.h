@@ -27,10 +27,10 @@ class Stopwatch {
 };
 
 /// \brief Adds the enclosing scope's wall time into an accumulator on
-/// destruction — the phase-accounting pattern used by the GAS engine:
+/// destruction — the phase-accounting pattern of the parallel superstep:
 ///
-///   double gather_seconds = 0.0;
-///   { ScopedTimer timer(gather_seconds); ... }  // += elapsed at }
+///   double scatter_seconds = 0.0;
+///   { ScopedTimer timer(scatter_seconds); ... }  // += elapsed at }
 class ScopedTimer {
  public:
   explicit ScopedTimer(double& total) : total_(total) {}

@@ -1,5 +1,6 @@
-// Fixed-size thread pool with a ParallelFor primitive, used by the GAS
-// engine to run gather/scatter phases over vertex and edge ranges.
+// Fixed-size thread pool with a ParallelFor primitive, used by the parallel
+// trainer to run each superstep phase (derived-cache rebuild, chunked
+// scatter, delta merge) across its workers.
 #pragma once
 
 #include <condition_variable>
@@ -16,7 +17,7 @@ namespace cold {
 ///
 /// Construction spawns the workers; destruction joins them after draining the
 /// queue. `ParallelFor` block-partitions an index range across workers and
-/// blocks until all blocks complete — the pattern every engine phase uses.
+/// blocks until all blocks complete — the pattern every superstep phase uses.
 class ThreadPool {
  public:
   /// Creates a pool with `num_threads` workers (>= 1; 0 means

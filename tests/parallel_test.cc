@@ -179,13 +179,13 @@ TEST(ParallelTrainerTest, EngineStatsPopulated) {
   ASSERT_TRUE(trainer.Train().ok());
   const engine::EngineStats& stats = trainer.engine_stats();
   EXPECT_EQ(stats.supersteps, 3);
-  EXPECT_GT(stats.gather_seconds, 0.0);
+  EXPECT_EQ(stats.gather_seconds, 0.0);
   EXPECT_EQ(stats.apply_seconds, 0.0);
   EXPECT_GT(stats.scatter_seconds, 0.0);
 }
 
 TEST(ParallelTrainerTest, RegistryMetricsMatchEngineStats) {
-  // The engine adds the exact same deltas, in the same order, to both its
+  // The trainer adds the exact same deltas, in the same order, to both its
   // EngineStats accumulators and the telemetry registry — so after a train
   // the two views must agree bit-for-bit.
   obs::Registry::Enable();
@@ -205,8 +205,6 @@ TEST(ParallelTrainerTest, RegistryMetricsMatchEngineStats) {
   EXPECT_EQ(supersteps_seen, 3);
 
   const engine::EngineStats& stats = trainer.engine_stats();
-  EXPECT_DOUBLE_EQ(registry.GetGauge("cold/engine/gather_seconds")->Value(),
-                   stats.gather_seconds);
   EXPECT_DOUBLE_EQ(registry.GetGauge("cold/engine/scatter_seconds")->Value(),
                    stats.scatter_seconds);
   EXPECT_DOUBLE_EQ(registry.GetGauge("cold/engine/merge_seconds")->Value(),

@@ -17,9 +17,10 @@
 // The topic kernel follows K: the exact dense scan below 32 topics, alias
 // + Metropolis-Hastings at 32 and above (DESIGN.md §13).
 //
-// --parallel trains on the single-process GAS engine with --threads N
-// worker threads (default 1; results are bit-identical at any worker
-// count) and prints the measured training time. --parallel takes no value:
+// --parallel trains with the single-process parallel trainer (Alg 2's
+// scatter over the Fig-4 graph, delta tables merged at each superstep) on
+// --threads N worker threads (default 1; results are bit-identical at any
+// worker count) and prints the measured training time. --parallel takes no value:
 // `--parallel 4` exits 2 rather than shifting 4 into the positional
 // arguments.
 //
