@@ -103,6 +103,13 @@ inline core::ColdConfig BenchColdConfig(int num_communities = 8,
   return config;
 }
 
+/// Prints `what` with the error and exits 1 unless `st` is OK.
+inline void CheckOk(const cold::Status& st, const char* what) {
+  if (st.ok()) return;
+  std::fprintf(stderr, "%s failed: %s\n", what, st.ToString().c_str());
+  std::exit(1);
+}
+
 /// Trains serial COLD and returns averaged estimates; exits on error.
 inline core::ColdEstimates TrainCold(const core::ColdConfig& config,
                                      const text::PostStore& posts,

@@ -6,7 +6,8 @@
 //   - tokens/sec over the sharded-superstep wall time;
 //   - measured comm bytes on the wire (coordinator send + recv, so every
 //     frame is counted exactly once) total and per superstep;
-//   - mean superstep wall seconds and barrier wait seconds.
+//   - mean superstep wall seconds and barrier wait seconds;
+//   - the scatter chunks each rank owns (the balance of the cut rule).
 //
 // The run double-checks the tentpole determinism guarantee: every node
 // count must finish with byte-identical serialized state to the 1-node
@@ -19,6 +20,7 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common.h"
@@ -52,6 +54,7 @@ BenchSetup MakeSetup(bool smoke) {
 
 struct NodeCountResult {
   dist::DistStats stats;
+  std::vector<double> owned_chunks_per_rank;
   double measured_seconds = 0.0;
   std::string state_bytes;
   bool replicas_match = true;
@@ -80,6 +83,10 @@ NodeCountResult RunNodes(const BenchSetup& setup, int num_nodes) {
     std::exit(1);
   }
   result.stats = nodes[0]->stats();
+  for (const dist::DistTrainer* node : nodes) {
+    result.owned_chunks_per_rank.push_back(
+        static_cast<double>(node->stats().owned_chunks));
+  }
   st = nodes[0]->SerializeState(&result.state_bytes);
   if (!st.ok()) {
     std::fprintf(stderr, "serialize failed: %s\n", st.ToString().c_str());
@@ -159,6 +166,9 @@ int main(int argc, char** argv) {
 
   serve::Json root = serve::Json::MakeObject();
   root.Set("bench", "dist_scaling");
+  // Every node of a run shares this host's hardware threads.
+  root.Set("hardware_threads",
+           static_cast<double>(std::thread::hardware_concurrency()));
   root.Set("num_posts", static_cast<double>(setup.dataset.posts.num_posts()));
   root.Set("tokens", static_cast<double>(setup.tokens));
   serve::Json counts = serve::Json::MakeArray();
@@ -201,6 +211,8 @@ int main(int argc, char** argv) {
                   : 0.0);
     point.Set("barrier_wait_seconds", stats.barrier_wait_seconds);
     point.Set("owned_chunks_rank0", static_cast<double>(stats.owned_chunks));
+    point.Set("owned_chunks_per_rank",
+              bench::ToJsonArray(run.owned_chunks_per_rank));
     point.Set("total_chunks", static_cast<double>(stats.total_chunks));
     point.Set("bit_identical_to_single_node", identical);
     counts.Append(point);

@@ -73,7 +73,7 @@ double MinSuperstepSeconds(const core::ColdConfig& config,
   double min_seconds = 0.0;
   for (int step = 0; step < config.iterations; ++step) {
     Stopwatch watch;
-    trainer.RunSuperstep();
+    bench::CheckOk(trainer.RunSuperstep(), "superstep");
     double seconds = watch.ElapsedSeconds();
     if (step == 0 || seconds < min_seconds) min_seconds = seconds;
   }
@@ -153,7 +153,7 @@ serve::Json RunScale(const Scale& scale) {
     double min_sweep = 0.0;
     for (int sweep = 0; sweep < scale.supersteps; ++sweep) {
       Stopwatch watch;
-      serial.RunIteration();
+      bench::CheckOk(serial.RunIteration(), "serial sweep");
       double seconds = watch.ElapsedSeconds();
       if (sweep == 0 || seconds < min_sweep) min_sweep = seconds;
     }

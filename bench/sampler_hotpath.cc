@@ -167,7 +167,9 @@ SparseKernelResult BenchSparseDraw(const core::ColdConfig& base_config,
     std::fprintf(stderr, "sparse init: %s\n", st.ToString().c_str());
     std::exit(1);
   }
-  for (int i = 0; i < warmup; ++i) sampler.RunIteration();
+  for (int i = 0; i < warmup; ++i) {
+    bench::CheckOk(sampler.RunIteration(), "warm-up sweep");
+  }
 
   const text::PostStore& posts = dataset->posts;
   const core::ColdState& state = sampler.state();
@@ -309,7 +311,9 @@ serve::Json RunScale(const Scale& scale) {
     std::exit(1);
   }
   const int warmup = std::max(1, scale.serial_sweeps / 4);
-  for (int i = 0; i < warmup; ++i) sampler.RunIteration();
+  for (int i = 0; i < warmup; ++i) {
+    bench::CheckOk(sampler.RunIteration(), "warm-up sweep");
+  }
 
   serve::Json kernel = serve::Json::MakeObject();
   KernelResult kr = BenchKernel(&sampler, dataset.posts, scale.kernel_reps);
@@ -353,7 +357,7 @@ serve::Json RunScale(const Scale& scale) {
     double seconds = 0.0;
     {
       ScopedTimer timer(seconds);
-      sampler.RunIteration();
+      bench::CheckOk(sampler.RunIteration(), "sweep");
     }
     sweep_seconds.push_back(seconds);
   }

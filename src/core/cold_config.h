@@ -97,14 +97,6 @@ struct ColdConfig {
     return false;
   }
 
-  /// When true (default), the eta point estimate divides the block's link
-  /// count by its expected pair exposure S_c * S_c' (S_c = sum_i pi_ic)
-  /// instead of by the count itself, so community size does not confound
-  /// link density. Appendix A's literal formula
-  /// (n_cc' + l1) / (n_cc' + l0 + l1) is restored by setting this false.
-  /// Sampling (Eq. 2) is unaffected either way.
-  bool exposure_normalized_eta = true;
-
   double ResolvedRho() const { return rho > 0 ? rho : 50.0 / num_communities; }
   double ResolvedAlpha() const { return alpha > 0 ? alpha : 50.0 / num_topics; }
 

@@ -542,7 +542,11 @@ void ColdGibbsSampler::SampleLinkAlternating(graph::EdgeId e) {
   RefreshLinkDerived(s, s2);
 }
 
-void ColdGibbsSampler::RunIteration() {
+cold::Status ColdGibbsSampler::RunIteration() {
+  if (!initialized_) {
+    return cold::Status::FailedPrecondition(
+        "call Init() before RunIteration()");
+  }
   COLD_TRACE_SPAN("gibbs/sweep");
   // Drift insurance for the incrementally-refreshed caches, every 256
   // sweeps: every entry is a pure function of one counter, so the rebuild
@@ -603,6 +607,7 @@ void ColdGibbsSampler::RunIteration() {
   double num_posts = static_cast<double>(posts_.num_posts());
   metrics.community_switch_rate->Set(switched_c / num_posts);
   metrics.topic_switch_rate->Set(switched_k / num_posts);
+  return cold::Status::OK();
 }
 
 cold::Status ColdGibbsSampler::Train() {
@@ -613,7 +618,7 @@ cold::Status ColdGibbsSampler::Train() {
   // restored from a checkpoint continues mid-schedule with the burn-in and
   // sample-lag arithmetic unchanged.
   while (iterations_run_ < config_.iterations) {
-    RunIteration();
+    COLD_RETURN_NOT_OK(RunIteration());
     const int sweep = iterations_run_;
     if (sweep > config_.burn_in &&
         (sweep - config_.burn_in) % config_.sample_lag == 0) {
@@ -662,31 +667,24 @@ ColdEstimates ExtractEstimates(const ColdState& state,
     }
   }
   est.eta.resize(static_cast<size_t>(est.C) * est.C);
-  if (config.exposure_normalized_eta) {
-    // Expected membership mass per community from the freshly computed pi.
-    std::vector<double> mass(static_cast<size_t>(est.C), 0.0);
-    for (int i = 0; i < est.U; ++i) {
-      for (int c = 0; c < est.C; ++c) {
-        mass[static_cast<size_t>(c)] += est.pi[static_cast<size_t>(i) * est.C + c];
-      }
-    }
+  // Exposure-normalized eta (DESIGN.md §5 item 7): divide a block's link
+  // count by its expected pair exposure S_c * S_c', with S_c the expected
+  // membership mass sum_i pi_ic, so community size does not confound link
+  // density.
+  std::vector<double> mass(static_cast<size_t>(est.C), 0.0);
+  for (int i = 0; i < est.U; ++i) {
     for (int c = 0; c < est.C; ++c) {
-      for (int c2 = 0; c2 < est.C; ++c2) {
-        double n = state.n_cc(c, c2);
-        double exposure =
-            mass[static_cast<size_t>(c)] * mass[static_cast<size_t>(c2)];
-        est.eta[static_cast<size_t>(c) * est.C + c2] =
-            (n + config.lambda1) /
-            (std::max(exposure, n) + lambda0 + config.lambda1);
-      }
+      mass[static_cast<size_t>(c)] += est.pi[static_cast<size_t>(i) * est.C + c];
     }
-  } else {
-    for (int c = 0; c < est.C; ++c) {
-      for (int c2 = 0; c2 < est.C; ++c2) {
-        double n = state.n_cc(c, c2);
-        est.eta[static_cast<size_t>(c) * est.C + c2] =
-            (n + config.lambda1) / (n + lambda0 + config.lambda1);
-      }
+  }
+  for (int c = 0; c < est.C; ++c) {
+    for (int c2 = 0; c2 < est.C; ++c2) {
+      double n = state.n_cc(c, c2);
+      double exposure =
+          mass[static_cast<size_t>(c)] * mass[static_cast<size_t>(c2)];
+      est.eta[static_cast<size_t>(c) * est.C + c2] =
+          (n + config.lambda1) /
+          (std::max(exposure, n) + lambda0 + config.lambda1);
     }
   }
   est.phi.resize(static_cast<size_t>(est.K) * est.V);

@@ -37,8 +37,9 @@ class ColdGibbsSampler {
   /// \brief Validates the config and draws the random initial assignment.
   cold::Status Init();
 
-  /// \brief Runs one full Gibbs sweep (all posts, then all links).
-  void RunIteration();
+  /// \brief Runs one full Gibbs sweep (all posts, then all links). Requires
+  /// Init(), like Train().
+  cold::Status RunIteration();
 
   /// \brief Full schedule: iterations sweeps, accumulating estimates every
   /// `sample_lag` sweeps after burn-in. Init() must have succeeded. Resumes

@@ -7,7 +7,6 @@
 
 #include "core/gibbs_sampler.h"
 #include "core/sparse_topic_kernel.h"
-#include "engine/partitioner.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/fault_injector.h"
@@ -70,9 +69,15 @@ size_t PoolThreads(const engine::EngineOptions& options) {
   return std::min(want, hw);
 }
 
+/// Scatter chunks that `num_edges` leading edges fill.
+int64_t ChunksFor(int64_t num_edges) {
+  return (num_edges + engine::kScatterChunkEdges - 1) /
+         engine::kScatterChunkEdges;
+}
+
 /// Work units: tokens plus per-post sampling cost for post edges; the
-/// link-table cost for link edges (the vertex weights of
-/// ComputeChunkOwners' greedy placement).
+/// link-table cost for link edges. ComputeChunkOwners cuts each segment of
+/// chunks at equal shares of these.
 int64_t EdgeWorkUnits(const ColdEdge& edge, const text::PostStore& posts,
                       int64_t C, int64_t K) {
   if (edge.type == ColdEdge::Type::kUserTime) {
@@ -575,10 +580,9 @@ cold::Status ParallelColdTrainer::Init() {
                                                posts_.num_posts(), num_links);
   state_->EnsureDeltaBuffers(pool_.num_threads());
 
-  // Build the bipartite user-time graph plus user-user edges (Fig 4): user
-  // vertices come first (id = user), then time vertices (id = U + slice).
-  graph_ = std::make_unique<Graph>(U + T);
-  // Group each user's posts by time slice.
+  // The bipartite user-time edges, then the user-user edges (Fig 4). Group
+  // each user's posts by time slice.
+  edges_.clear();
   for (int i = 0; i < U; ++i) {
     // Time slices are few; a local map via sort keeps this allocation-light.
     auto user_posts = posts_.posts_of(i);
@@ -596,21 +600,18 @@ cold::Status ParallelColdTrainer::Init() {
         edge.posts.push_back(sorted[p]);
         ++p;
       }
-      graph_->AddEdge(static_cast<engine::VertexId>(i),
-                      static_cast<engine::VertexId>(U + t), std::move(edge));
+      edges_.push_back(std::move(edge));
     }
   }
+  num_post_edges_ = static_cast<int64_t>(edges_.size());
   if (use_network_) {
     for (graph::EdgeId e = 0; e < links_->num_edges(); ++e) {
       ColdEdge edge;
       edge.type = ColdEdge::Type::kUserUser;
       edge.link = e;
-      graph_->AddEdge(static_cast<engine::VertexId>(links_->edge(e).src),
-                      static_cast<engine::VertexId>(links_->edge(e).dst),
-                      std::move(edge));
+      edges_.push_back(std::move(edge));
     }
   }
-  graph_->Finalize();
 
   // Random initial assignments + counter build (serial; cheap).
   cold::RandomSampler init_sampler(config_.seed, /*stream=*/5);
@@ -669,7 +670,7 @@ cold::Status ParallelColdTrainer::Train() {
     double superstep_seconds = 0.0;
     {
       cold::ScopedTimer timer(superstep_seconds);
-      RunSuperstep();
+      COLD_RETURN_NOT_OK(RunSuperstep());
     }
     ParallelMetrics& metrics = Metrics();
     metrics.supersteps->Increment();
@@ -686,9 +687,14 @@ cold::Status ParallelColdTrainer::Train() {
   return cold::Status::OK();
 }
 
-void ParallelColdTrainer::RunSuperstep() {
+cold::Status ParallelColdTrainer::RunSuperstep() {
+  if (!initialized_) {
+    return cold::Status::FailedPrecondition(
+        "call Init() before RunSuperstep()");
+  }
   Superstep(nullptr);
   supersteps_run_++;
+  return cold::Status::OK();
 }
 
 void ParallelColdTrainer::Superstep(const std::vector<uint8_t>* chunk_mask) {
@@ -704,9 +710,8 @@ void ParallelColdTrainer::Superstep(const std::vector<uint8_t>* chunk_mask) {
     // its RNG stream, so the draws are identical no matter which worker
     // runs a chunk: repeat runs and different worker counts produce
     // bit-identical state (the delta sums commute).
-    const Graph& graph = *graph_;
     ScatterKernel& kernel = *kernel_;
-    const int64_t num_edges = graph.num_edges();
+    const auto num_edges = static_cast<int64_t>(edges_.size());
     const int64_t num_chunks = NumScatterChunks();
     const uint64_t seed = engine_options_.seed;
     const uint64_t stream_base =
@@ -731,7 +736,7 @@ void ParallelColdTrainer::Superstep(const std::vector<uint8_t>* chunk_mask) {
         const int64_t stop =
             std::min(num_edges, (chunk + 1) * engine::kScatterChunkEdges);
         for (int64_t e = chunk * engine::kScatterChunkEdges; e < stop; ++e) {
-          kernel.ScatterEdge(graph.edge_data(e), worker, &sampler);
+          kernel.ScatterEdge(edges_[static_cast<size_t>(e)], worker, &sampler);
         }
       }
     });
@@ -760,9 +765,7 @@ void ParallelColdTrainer::Superstep(const std::vector<uint8_t>* chunk_mask) {
 }
 
 int64_t ParallelColdTrainer::NumScatterChunks() const {
-  if (graph_ == nullptr) return 0;
-  return (graph_->num_edges() + engine::kScatterChunkEdges - 1) /
-         engine::kScatterChunkEdges;
+  return ChunksFor(static_cast<int64_t>(edges_.size()));
 }
 
 size_t ParallelColdTrainer::DeltaTableSize() const {
@@ -771,45 +774,35 @@ size_t ParallelColdTrainer::DeltaTableSize() const {
 
 std::vector<int32_t> ParallelColdTrainer::ComputeChunkOwners(
     int num_nodes) const {
-  auto work_of = [this](engine::EdgeId e) {
-    return EdgeWorkUnits(graph_->edge_data(e), posts_,
-                         config_.num_communities, config_.num_topics);
-  };
-  // Each edge's work units are charged to its source vertex (edges run on
-  // their source's node).
-  std::vector<int64_t> vertex_work(
-      static_cast<size_t>(graph_->num_vertices()), 0);
-  const int64_t num_edges = graph_->num_edges();
-  for (engine::EdgeId e = 0; e < num_edges; ++e) {
-    vertex_work[static_cast<size_t>(graph_->src(e))] += work_of(e);
-  }
-  std::vector<int> vertex_node =
-      engine::GreedyAssignment(*graph_, num_nodes, vertex_work);
-
-  // Lift vertex placement to whole scatter chunks (the RNG-stream unit) by
-  // work-unit plurality over each chunk's edges; ties go to the lowest node
-  // id so every node derives the identical table.
   const int64_t num_chunks = NumScatterChunks();
-  std::vector<int32_t> owners(static_cast<size_t>(num_chunks), 0);
-  std::vector<int64_t> node_work(static_cast<size_t>(num_nodes), 0);
-  for (int64_t chunk = 0; chunk < num_chunks; ++chunk) {
-    std::fill(node_work.begin(), node_work.end(), 0);
-    const int64_t stop =
-        std::min(num_edges, (chunk + 1) * engine::kScatterChunkEdges);
-    for (int64_t e = chunk * engine::kScatterChunkEdges; e < stop; ++e) {
-      const int node = vertex_node[static_cast<size_t>(graph_->src(e))];
-      // +1 so zero-work edges still vote for their node.
-      node_work[static_cast<size_t>(node)] += work_of(e) + 1;
-    }
-    int best = 0;
-    for (int n = 1; n < num_nodes; ++n) {
-      if (node_work[static_cast<size_t>(n)] >
-          node_work[static_cast<size_t>(best)]) {
-        best = n;
-      }
-    }
-    owners[static_cast<size_t>(chunk)] = best;
+  std::vector<int64_t> chunk_work(static_cast<size_t>(num_chunks), 0);
+  for (size_t e = 0; e < edges_.size(); ++e) {
+    chunk_work[e / engine::kScatterChunkEdges] += EdgeWorkUnits(
+        edges_[e], posts_, config_.num_communities, config_.num_topics);
   }
+  // Each state replica is whole, so a node's chunks cost it only their
+  // deltas and rewrites, never remote vertex data: balance work, and keep
+  // each node's link range on roughly the users whose posts it samples
+  // (both segments are user-major).
+  const int64_t nodes = std::max(1, num_nodes);
+  std::vector<int32_t> owners(static_cast<size_t>(num_chunks), 0);
+  auto cut = [&](int64_t begin, int64_t end) {
+    int64_t total = 0;
+    for (int64_t c = begin; c < end; ++c) {
+      total += chunk_work[static_cast<size_t>(c)];
+    }
+    if (total == 0) return;
+    int64_t prefix = 0;
+    for (int64_t c = begin; c < end; ++c) {
+      const int64_t work = chunk_work[static_cast<size_t>(c)];
+      owners[static_cast<size_t>(c)] = static_cast<int32_t>(
+          std::min(nodes - 1, (2 * prefix + work) * nodes / (2 * total)));
+      prefix += work;
+    }
+  };
+  const int64_t post_chunks = ChunksFor(num_post_edges_);
+  cut(0, post_chunks);
+  cut(post_chunks, num_chunks);
   return owners;
 }
 

@@ -26,7 +26,6 @@
 #include "core/cold_config.h"
 #include "core/cold_estimates.h"
 #include "core/parallel_state.h"
-#include "engine/property_graph.h"
 #include "engine/superstep.h"
 #include "graph/digraph.h"
 #include "text/post_store.h"
@@ -90,8 +89,9 @@ class ParallelColdTrainer {
     superstep_callback_ = std::move(callback);
   }
 
-  /// \brief Runs a single superstep (one full Gibbs sweep).
-  void RunSuperstep();
+  /// \brief Runs a single superstep (one full Gibbs sweep). Requires
+  /// Init(), like Train().
+  cold::Status RunSuperstep();
 
   // --- distributed execution hooks (src/dist) -----------------------------
   //
@@ -109,10 +109,14 @@ class ParallelColdTrainer {
   /// Flat delta-table size (bounds the indices in SuperstepUpdate).
   size_t DeltaTableSize() const;
 
-  /// \brief Deterministic chunk → node assignment: greedy vertex partition
-  /// (engine::GreedyAssignment over edge work units) lifted to chunks by
-  /// work-unit plurality of each chunk's edges, ties to the lowest node id.
-  /// Every node computes the identical table. Requires Init().
+  /// \brief Deterministic chunk → node assignment: each node owns one
+  /// contiguous, work-balanced range of the post-edge chunks and one of the
+  /// link-edge chunks. A segment of total work W gives chunk c (work w_c,
+  /// prefix_c before it) to node floor((2 prefix_c + w_c) n / (2 W)), the
+  /// node whose equal share holds the chunk's midpoint. The chunk holding
+  /// both the last post edges and the first link edges belongs to the post
+  /// segment. Integer arithmetic, so every node derives the identical
+  /// table. Requires Init().
   std::vector<int32_t> ComputeChunkOwners(int num_nodes) const;
 
   /// \brief Runs one superstep scattering only chunks with a nonzero mask
@@ -138,8 +142,6 @@ class ParallelColdTrainer {
   double lambda0() const { return lambda0_; }
 
  private:
-  using Graph = engine::PropertyGraph<ColdEdge>;
-
   /// \brief The superstep, on counts frozen for its duration: rebuild the
   /// derived caches, scatter every chunk (only the chunks with a nonzero
   /// `chunk_mask` byte, when one is given), then merge the per-worker
@@ -159,7 +161,12 @@ class ParallelColdTrainer {
   engine::EngineStats stats_;
 
   std::unique_ptr<ParallelColdState> state_;
-  std::unique_ptr<Graph> graph_;
+  /// The Fig-4 edges, user-major: every user's post edges in time order,
+  /// then the link edges in the network's order (grouped by source user).
+  /// Chunk c scatters edges [c * kScatterChunkEdges, (c + 1) *
+  /// kScatterChunkEdges).
+  std::vector<ColdEdge> edges_;
+  int64_t num_post_edges_ = 0;
   std::unique_ptr<ScatterKernel> kernel_;
   int supersteps_run_ = 0;
   bool initialized_ = false;

@@ -1,12 +1,14 @@
 // Multi-process distributed COLD training (DESIGN.md §12).
 //
 // Execution model: every node replicates the full model state; scatter is
-// sharded by chunk ownership derived from the greedy vertex partition. Each superstep every node exports its sparse
-// count deltas + assignment rewrites; the rank-0 coordinator collects them
-// in rank order, merges (per-cell int32 sums commute, so the merged table
-// equals the single-process superstep-boundary merge exactly), and
-// broadcasts the global update, which every node — including rank 0 —
-// applies identically. The replicas therefore stay in lockstep, a fixed
+// sharded by chunk ownership, each node sampling one work-balanced range of
+// the post-edge chunks and one of the link-edge chunks
+// (ParallelColdTrainer::ComputeChunkOwners). Each superstep every node
+// exports its sparse count deltas + assignment rewrites; the rank-0
+// coordinator collects them in rank order, merges (per-cell int32 sums
+// commute, so the merged table equals the single-process
+// superstep-boundary merge exactly), and broadcasts the global update,
+// which every node — including rank 0 — applies identically. The replicas therefore stay in lockstep, a fixed
 // seed is bit-identical across node counts, and any node's checkpoint IS
 // the global model state.
 //

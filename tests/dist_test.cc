@@ -10,11 +10,14 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -26,6 +29,7 @@
 #include "dist/dist_trainer.h"
 #include "dist/net_fault.h"
 #include "dist/transport.h"
+#include "engine/superstep.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/fault_injector.h"
@@ -369,6 +373,126 @@ TEST(DistPartitionTest, ChunkOwnersTileTheChunkSpace) {
   }
   // Single node owns everything.
   for (int32_t owner : trainer.ComputeChunkOwners(1)) EXPECT_EQ(owner, 0);
+}
+
+/// A denser network than TestData(), so the link edges fill several
+/// scatter chunks too.
+const data::SocialDataset& PartitionData() {
+  static const data::SocialDataset* dataset = [] {
+    data::SyntheticConfig config = TestDataConfig();
+    config.num_users = 400;
+    config.follows_per_user = 18;
+    data::SyntheticSocialGenerator gen(config);
+    return new data::SocialDataset(std::move(gen.Generate()).ValueOrDie());
+  }();
+  return *dataset;
+}
+
+/// Work units of each scatter chunk, rebuilt from the dataset in the
+/// trainer's Fig-4 edge order (each user's post edges by time slice, then
+/// the links), and the number of chunks that hold a post edge.
+struct ChunkWork {
+  std::vector<int64_t> work;
+  int64_t post_chunks = 0;
+};
+
+ChunkWork PartitionChunkWork() {
+  const auto& ds = PartitionData();
+  const core::ColdConfig config = TestModelConfig();
+  const int64_t C = config.num_communities;
+  const int64_t K = config.num_topics;
+  std::vector<int64_t> edge_work;
+  for (int i = 0; i < ds.posts.num_users(); ++i) {
+    std::map<int, int64_t> slice_work;
+    for (text::PostId d : ds.posts.posts_of(i)) {
+      slice_work[ds.posts.time(d)] += ds.posts.length(d) + C + K;
+    }
+    for (const auto& [slice, work] : slice_work) edge_work.push_back(work);
+  }
+  const auto post_edges = static_cast<int64_t>(edge_work.size());
+  edge_work.insert(edge_work.end(),
+                   static_cast<size_t>(ds.interactions.num_edges()), 2 * C);
+  const auto chunk_edges = static_cast<size_t>(engine::kScatterChunkEdges);
+  ChunkWork out;
+  out.work.assign((edge_work.size() + chunk_edges - 1) / chunk_edges, 0);
+  for (size_t e = 0; e < edge_work.size(); ++e) {
+    out.work[e / chunk_edges] += edge_work[e];
+  }
+  out.post_chunks = (post_edges + engine::kScatterChunkEdges - 1) /
+                    engine::kScatterChunkEdges;
+  return out;
+}
+
+TEST(DistPartitionTest, EachNodeOwnsOneBalancedRangePerSegment) {
+  const auto& ds = PartitionData();
+  core::ParallelColdTrainer trainer(TestModelConfig(), ds.posts,
+                                    &ds.interactions);
+  ASSERT_TRUE(trainer.Init().ok());
+  const ChunkWork chunks = PartitionChunkWork();
+  const auto num_chunks = static_cast<int64_t>(chunks.work.size());
+  ASSERT_EQ(num_chunks, trainer.NumScatterChunks());
+  // The chunk holding the last post edges and the first links belongs to
+  // the post segment.
+  const std::pair<int64_t, int64_t> segments[] = {
+      {0, chunks.post_chunks}, {chunks.post_chunks, num_chunks}};
+  for (auto [begin, end] : segments) {
+    ASSERT_GE(end - begin, 4) << "segment [" << begin << ", " << end << ")";
+  }
+
+  for (int nodes : {2, 3, 4}) {
+    SCOPED_TRACE("nodes=" + std::to_string(nodes));
+    const std::vector<int32_t> owners = trainer.ComputeChunkOwners(nodes);
+    ASSERT_EQ(owners.size(), chunks.work.size());
+    const auto n = static_cast<size_t>(nodes);
+    std::vector<int64_t> owned(n, 0);
+    for (auto [begin, end] : segments) {
+      int64_t total = 0;
+      int64_t max_work = 0;
+      std::vector<int64_t> node_work(n, 0);
+      std::vector<int64_t> count(n, 0);
+      std::vector<int64_t> first(n, -1);
+      std::vector<int64_t> last(n, -1);
+      for (int64_t c = begin; c < end; ++c) {
+        const int32_t node = owners[static_cast<size_t>(c)];
+        ASSERT_GE(node, 0);
+        ASSERT_LT(node, nodes);
+        const auto v = static_cast<size_t>(node);
+        const int64_t work = chunks.work[static_cast<size_t>(c)];
+        total += work;
+        max_work = std::max(max_work, work);
+        node_work[v] += work;
+        count[v]++;
+        owned[v]++;
+        if (first[v] < 0) first[v] = c;
+        last[v] = c;
+      }
+      for (size_t v = 0; v < n; ++v) {
+        // One contiguous run: every chunk between its first and last.
+        if (count[v] > 0) {
+          EXPECT_EQ(last[v] - first[v] + 1, count[v]) << "node " << v;
+        }
+        // At most one chunk's work above the equal share total / nodes.
+        EXPECT_LE(node_work[v] * nodes, total + max_work * nodes)
+            << "node " << v;
+      }
+    }
+    // Each segment has at least `nodes` chunks, so every node owns some.
+    for (size_t v = 0; v < n; ++v) EXPECT_GT(owned[v], 0) << "node " << v;
+  }
+
+  // Without links the link segment is empty: every node owns one range of
+  // the post chunks.
+  core::ColdConfig no_links = TestModelConfig();
+  no_links.use_network = false;
+  core::ParallelColdTrainer posts_only(no_links, ds.posts, &ds.interactions);
+  ASSERT_TRUE(posts_only.Init().ok());
+  ASSERT_EQ(posts_only.NumScatterChunks(), chunks.post_chunks);
+  for (int nodes : {2, 3, 4}) {
+    const std::vector<int32_t> owners = posts_only.ComputeChunkOwners(nodes);
+    EXPECT_TRUE(std::is_sorted(owners.begin(), owners.end())) << nodes;
+    EXPECT_EQ(std::set<int32_t>(owners.begin(), owners.end()).size(),
+              static_cast<size_t>(nodes));
+  }
 }
 
 TEST(DistPartitionTest, OwnerTableIsReproducible) {

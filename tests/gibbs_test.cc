@@ -119,6 +119,14 @@ TEST(GibbsSamplerTest, TrainRequiresInit) {
   EXPECT_EQ(sampler.Train().code(), cold::StatusCode::kFailedPrecondition);
 }
 
+TEST(GibbsSamplerTest, SweepRequiresInit) {
+  const auto& ds = TestData();
+  ColdGibbsSampler sampler(TestModelConfig(), ds.posts, &ds.interactions);
+  EXPECT_EQ(sampler.RunIteration().code(),
+            cold::StatusCode::kFailedPrecondition);
+  EXPECT_EQ(sampler.iterations_run(), 0);
+}
+
 TEST(GibbsSamplerTest, CountersConsistentAfterInit) {
   const auto& ds = TestData();
   ColdGibbsSampler sampler(TestModelConfig(), ds.posts, &ds.interactions);

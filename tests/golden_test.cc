@@ -35,8 +35,8 @@ constexpr uint64_t kSerialDense = 0x75ab5fdd376c5614;
 constexpr uint64_t kSerialSparse = 0x5d1c832444827d81;
 constexpr uint64_t kParallelDense = 0x6c50c5f82f0c95a4;
 constexpr uint64_t kParallelSparse = 0x26140154d3b03139;
-constexpr uint64_t kChunkOwners2 = 0x7b8f68f2e7855ef3;
-constexpr uint64_t kChunkOwners4 = 0x286e24e46ce93822;
+constexpr uint64_t kChunkOwners2 = 0xd532a4ecd1a8a142;
+constexpr uint64_t kChunkOwners4 = 0x65c647646fb8ba02;
 
 /// 64-bit FNV-1a over int32 values, each fed as 4 little-endian bytes, with
 /// every array prefixed by its length.

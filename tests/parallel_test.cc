@@ -88,6 +88,14 @@ TEST(ParallelTrainerTest, TrainRequiresInit) {
   EXPECT_EQ(trainer.Train().code(), cold::StatusCode::kFailedPrecondition);
 }
 
+TEST(ParallelTrainerTest, SuperstepRequiresInit) {
+  const auto& ds = TestData();
+  ParallelColdTrainer trainer(TestModelConfig(), ds.posts, &ds.interactions);
+  EXPECT_EQ(trainer.RunSuperstep().code(),
+            cold::StatusCode::kFailedPrecondition);
+  EXPECT_EQ(trainer.supersteps_run(), 0);
+}
+
 TEST(ParallelTrainerTest, EstimatesNormalized) {
   const auto& ds = TestData();
   ParallelColdTrainer trainer(TestModelConfig(), ds.posts, &ds.interactions);
